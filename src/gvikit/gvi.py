@@ -3,7 +3,8 @@
 The problem: find x in K with ``<A(x), a(y) - a(x)> >= 0`` for all y in K.
 Writing u = a(x) turns this into a Stampacchia inequality for the reduced
 operator ``A o b`` on ``a(K)``, where b picks one preimage per image
-point.  This module supplies the numerical preimage selection (projected
+point.  This module supplies the preimage selection (the closed-form
+inverse for identity and nonsingular affine maps, otherwise projected
 Gauss-Newton with deterministic multistart), the cached reduced operator,
 the end-to-end solver, and the gap and complementarity certificates used
 to audit its output.
@@ -17,14 +18,19 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InversionFailed
+from .errors import (
+    DimensionMismatch,
+    DimensionTooLarge,
+    InversionFailed,
+    NonConvergence,
+    UnsupportedVariant,
+)
 from .geometry import ConvexSet, PolyhedralCone, as_vector
-from .operators import OperatorExpr, PropertyReport, jacobian_fd
+from .operators import Identity, OperatorExpr, PropertyReport, jacobian_fd
 from .vi import SolveReport, SolverParams, solve_extragradient
 
 GAP_TOL = 1e-6
 IMAGE_TOL = 1e-7
-CACHE_TOL = 1e-9
 
 _MULTISTART_SEED = 715225741
 _IMAGE_CHECK_SEED = 398764591
@@ -57,11 +63,16 @@ class InversionParams:
             raise ValueError("step_control must lie in (0, 1]")
 
 
-def _gauss_newton(a, K, u, x0, inv):
-    """Minimize ``|a(x) - u|`` over K from one start; returns (x, residual)."""
+def _projected_residual(a, K, u, x0):
+    """``(x, a(x) - u, |a(x) - u|)`` at the projection x of ``x0`` onto K."""
     x = K.project(as_vector(x0, K.dim, "start"))
     r = np.asarray(a(x), dtype=float) - u
-    best = float(np.linalg.norm(r))
+    return x, r, float(np.linalg.norm(r))
+
+
+def _gauss_newton(a, K, u, x0, inv):
+    """Minimize ``|a(x) - u|`` over K from one start; returns (x, residual)."""
+    x, r, best = _projected_residual(a, K, u, x0)
     for _ in range(inv.max_iter):
         if best <= inv.tol:
             return x, best
@@ -95,17 +106,51 @@ def _default_starts(K, u, inv):
     return starts
 
 
+def _closed_form(a, K, u, inv):
+    """The projected closed-form preimage as a final ``(x, residual)``, or None.
+
+    None means the multistart search has to run: ``a`` has no closed-form
+    inverse, or its preimage misses K and a search may still come closer.
+    An identity miss is final, because ``P_K(u)`` is the nearest point of
+    K to ``u``.
+    """
+    exact = a.preimage(u)
+    if exact is None:
+        return None
+    x, _, res = _projected_residual(a, K, u, exact)
+    if res <= inv.tol or isinstance(a, Identity):
+        return x, res
+    return None
+
+
+def _no_preimage(u, inv, best_res, best_x):
+    return InversionFailed(
+        f"no preimage of {np.asarray(u).tolist()} within {inv.tol} "
+        f"(best residual {best_res:.3e})",
+        best_residual=best_res,
+        best_point=best_x,
+    )
+
+
 def select_preimage(a, K, u, inv=None, starts=None):
     """One point x in K with ``|a(x) - u|`` within tolerance.
 
-    Starts are tried in order and the first success wins, which makes the
-    selection deterministic; the default start list is the projection of
-    ``u`` onto K followed by a fixed-seed sample of K.  Raises
-    ``InversionFailed`` with the best residual seen when no start reaches
-    the tolerance.
+    The closed-form preimage of an identity or nonsingular affine map,
+    projected onto K, is tried first; an identity map that misses fails
+    there.  Otherwise projected Gauss-Newton runs from each start in order
+    and the first success wins, which makes the selection deterministic;
+    the default start list is the projection of ``u`` onto K followed by a
+    fixed-seed sample of K.  Raises ``InversionFailed`` with the best
+    residual seen when no start reaches the tolerance.
     """
     inv = inv if inv is not None else InversionParams()
     u = as_vector(u, getattr(a, "out_dim", None), "u")
+    exact = _closed_form(a, K, u, inv)
+    if exact is not None:
+        x, res = exact
+        if res > inv.tol:
+            raise _no_preimage(u, inv, res, x)
+        return x
     if starts is None:
         starts = _default_starts(K, u, inv)
     best_x, best_res = None, np.inf
@@ -115,21 +160,23 @@ def select_preimage(a, K, u, inv=None, starts=None):
             return x
         if res < best_res:
             best_x, best_res = x, res
-    raise InversionFailed(
-        f"no preimage of {np.asarray(u).tolist()} within {inv.tol} "
-        f"(best residual {best_res:.3e})",
-        best_residual=best_res,
-        best_point=best_x,
-    )
+    raise _no_preimage(u, inv, best_res, best_x)
 
 
 def preimage_candidates(a, K, u, inv=None, dedup_tol=1e-6):
-    """All distinct preimages the multistart search can reach.
+    """All distinct preimages the search can reach.
 
     Used by the fiber and selection-independence checks, which need to see
-    every branch of ``a^{-1}``, not just the first."""
+    every branch of ``a^{-1}``, not just the first.  An identity or
+    nonsingular affine map is injective, so its projected closed-form
+    preimage is the only candidate when it hits, and an identity map that
+    misses has none; otherwise the projected Gauss-Newton multistart runs.
+    """
     inv = inv if inv is not None else InversionParams()
     u = as_vector(u, getattr(a, "out_dim", None), "u")
+    exact = _closed_form(a, K, u, inv)
+    if exact is not None:
+        return [exact[0]] if exact[1] <= inv.tol else []
     found = []
     for x0 in _default_starts(K, u, inv):
         x, res = _gauss_newton(a, K, u, x0, inv)
@@ -141,8 +188,8 @@ def preimage_candidates(a, K, u, inv=None, dedup_tol=1e-6):
 class ReducedOperator:
     """``u -> A(b(u))`` with a per-instance fiber cache.
 
-    Representatives are cached per image point (quantized at CACHE_TOL)
-    and each new inversion warm-starts from the most recent representative
+    Representatives are cached per exact image point, and an inversion
+    without a closed form warm-starts from the most recent representative
     so the selection does not hop between fibers while a solver walks the
     image set.  Instances are meant to live for a single solve.
     """
@@ -165,13 +212,10 @@ class ReducedOperator:
     def lipschitz_bound(self):
         return None
 
-    def _key(self, u):
-        return tuple(np.round(u / CACHE_TOL).astype(np.int64))
-
     def representative(self, u):
         """The cached or freshly inverted preimage of ``u``."""
         u = np.asarray(u, dtype=float)
-        key = self._key(u)
+        key = u.tobytes()
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -213,7 +257,7 @@ class GviProblem:
         try:
             rng = np.random.default_rng(_IMAGE_CHECK_SEED)
             pts = np.atleast_2d(self.K.sample(rng, _IMAGE_CHECK_SAMPLES))
-        except Exception:
+        except (UnsupportedVariant, NonConvergence):
             return
         worst = 0.0
         witness = None
@@ -259,12 +303,12 @@ def default_gap_probes(K, n_samples=_PROBE_SAMPLES, seed=_PROBE_SEED):
     probes = []
     try:
         probes.extend(np.asarray(K.vertices()))
-    except Exception:
+    except (UnsupportedVariant, DimensionTooLarge):
         pass
     rng = np.random.default_rng(seed)
     try:
         probes.extend(np.atleast_2d(K.sample(rng, n_samples)))
-    except Exception:
+    except (UnsupportedVariant, NonConvergence):
         pass
     return probes
 

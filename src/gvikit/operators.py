@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,6 +24,8 @@ from .errors import DimensionMismatch, InversionFailed, UnsupportedVariant
 from .geometry import as_vector, segment_distance
 
 FD_STEP = 1e-6
+# an affine map inverts in closed form only below this condition number
+INVERSE_COND_LIMIT = 1e8
 FIBER_MATCH_TOL = 1e-7
 PSD_TOL = 1e-9
 
@@ -44,6 +47,10 @@ class OperatorExpr:
         """Exact global Lipschitz constant when one is derivable, else None."""
         return None
 
+    def preimage(self, u):
+        """The unique preimage of ``u`` in closed form, or None if there is none to give."""
+        return None
+
     def to_dict(self):
         raise NotImplementedError
 
@@ -59,6 +66,9 @@ class Identity(OperatorExpr):
 
     def lipschitz_bound(self):
         return 1.0
+
+    def preimage(self, u):
+        return np.asarray(u, dtype=float)
 
     def to_dict(self):
         return {"op": "identity", "dim": self.in_dim}
@@ -102,6 +112,18 @@ class Affine(OperatorExpr):
 
     def lipschitz_bound(self):
         return float(np.linalg.norm(self.matrix, 2))
+
+    @cached_property
+    def _inverse(self):
+        m = self.matrix
+        if m.shape[0] != m.shape[1] or not np.linalg.cond(m) < INVERSE_COND_LIMIT:
+            return None
+        return np.linalg.inv(m)
+
+    def preimage(self, u):
+        if self._inverse is None:
+            return None
+        return self._inverse @ (np.asarray(u, dtype=float) - self.shift)
 
     def to_dict(self):
         return {"op": "affine", "matrix": self.matrix.tolist(), "shift": self.shift.tolist()}

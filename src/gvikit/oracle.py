@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionTooLarge, EmptyGrid
+from .errors import DimensionTooLarge, EmptyGrid, UnsupportedVariant
 from .geometry import as_vector
 
 ORACLE_MAX_DIM = 4
@@ -41,21 +41,26 @@ def grid_points(K, resolution):
             raise DimensionTooLarge(
                 f"grid would exceed {GRID_POINT_CAP} points at resolution {resolution}"
             )
+    shape = tuple(len(ax) for ax in axes)
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1).reshape(-1, K.dim)
-    keep = K._distance_batch(pts) <= _MEMBERSHIP_TOL
-    pts = pts[keep]
+    lattice = np.stack(mesh, axis=-1).reshape(-1, K.dim)
+    keep = K._distance_batch(lattice) <= _MEMBERSHIP_TOL
     try:
-        vs = np.asarray(K.vertices(), dtype=float)
-    except Exception:
+        vs = np.asarray(K.vertices(), dtype=float).reshape(-1, K.dim)
+    except (UnsupportedVariant, DimensionTooLarge):
         vs = np.zeros((0, K.dim))
-    extra = [
-        v
-        for v in vs
-        if pts.size == 0 or np.min(np.linalg.norm(pts - v, axis=1)) > 1e-12
-    ]
-    if extra:
-        pts = np.concatenate([pts, np.array(extra)], axis=0)
+    # only the nearest lattice point can lie within 1e-12 of a vertex
+    idx = np.rint((vs - lo) / resolution).astype(np.int64)
+    on_lattice = np.all((idx >= 0) & (idx < shape), axis=1)
+    nearest = np.ravel_multi_index(np.clip(idx, 0, np.array(shape) - 1).T, shape)
+    covered = (
+        on_lattice
+        & keep[nearest]
+        & (np.linalg.norm(lattice[nearest] - vs, axis=1) <= 1e-12)
+    )
+    pts = lattice[keep]
+    if not np.all(covered):
+        pts = np.concatenate([pts, vs[~covered]], axis=0)
     if pts.shape[0] == 0:
         raise EmptyGrid(f"no grid point of spacing {resolution} lies inside the set")
     return pts

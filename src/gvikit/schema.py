@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SchemaError, ToolkitError
+from .errors import NonConvergence, SchemaError, ToolkitError, UnsupportedVariant
 from .geometry import (
     Ball,
     Box,
@@ -342,7 +342,7 @@ def validate(data):
         try:
             rng = np.random.default_rng(problem.seed)
             pts = np.atleast_2d(base.sample(rng, 64))
-        except Exception:
+        except (UnsupportedVariant, NonConvergence):
             pts = None
         if pts is not None:
             worst, witness = 0.0, None

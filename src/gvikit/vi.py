@@ -17,6 +17,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from .errors import NonConvergence, UnsupportedVariant
 from .geometry import as_vector
 from .operators import OperatorExpr
 
@@ -84,7 +85,7 @@ def _sampled_lipschitz(F, C):
         rng = np.random.default_rng(_LIPSCHITZ_PROBE_SEED)
         xs = C.sample(rng, _LIPSCHITZ_PROBE_PAIRS)
         ys = C.sample(rng, _LIPSCHITZ_PROBE_PAIRS)
-    except Exception:
+    except (UnsupportedVariant, NonConvergence):
         return None
     best = 0.0
     for x, y in zip(xs, ys):

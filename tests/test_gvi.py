@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from gvikit import gvi as gvi_module
 from gvikit.errors import DimensionMismatch, InversionFailed
-from gvikit.geometry import Box, PolyhedralCone
+from gvikit.geometry import Box, PolyhedralCone, Simplex
 from gvikit.gvi import (
     GviProblem,
     ImageConsistencyWarning,
@@ -14,12 +15,13 @@ from gvikit.gvi import (
     ReducedOperator,
     check_selection_independence,
     complementarity_check,
+    default_gap_probes,
     gvi_gap,
     preimage_candidates,
     select_preimage,
     solve_gvi,
 )
-from gvikit.operators import Affine, Constant, Identity, PointwiseNonlinear, Sum
+from gvikit.operators import Affine, Constant, Identity, PointwiseNonlinear, Sum, jacobian_fd
 from gvikit.vi import SolverParams
 
 
@@ -301,3 +303,87 @@ class TestGviProblem:
             InversionParams(multistart=0)
         with pytest.raises(ValueError):
             InversionParams(step_control=1.5)
+
+
+class TestClosedFormInversion:
+    """Identity and nonsingular affine maps invert without Gauss-Newton."""
+
+    SHEAR = Affine(np.array([[2.0, 1.0], [0.0, 1.0]]), np.array([0.5, -0.25]))
+
+    @pytest.fixture
+    def fd_calls(self, monkeypatch):
+        calls = []
+
+        def counted(op, x, *args, **kwargs):
+            calls.append(np.array(x))
+            return jacobian_fd(op, x, *args, **kwargs)
+
+        monkeypatch.setattr(gvi_module, "jacobian_fd", counted)
+        return calls
+
+    def test_invertible_affine_needs_no_jacobian(self, fd_calls):
+        box = Box(np.zeros(2), np.ones(2))
+        x = select_preimage(self.SHEAR, box, self.SHEAR(np.array([0.3, 0.6])))
+        np.testing.assert_allclose(x, [0.3, 0.6], atol=1e-12)
+        assert fd_calls == []
+
+    def test_warm_started_representative_needs_no_jacobian(self, fd_calls):
+        reduced = ReducedOperator(Identity(2), Identity(2), Box(-np.ones(2), np.ones(2)))
+        reduced._last = np.array([-0.7, 0.2])
+        x = reduced.representative(np.array([0.4, -0.1]))
+        np.testing.assert_array_equal(x, [0.4, -0.1])
+        assert fd_calls == []
+
+    def test_identity_candidates_need_no_jacobian(self, fd_calls):
+        box = Box(-np.ones(2), np.ones(2))
+        found = preimage_candidates(Identity(2), box, np.array([0.25, -0.5]))
+        assert len(found) == 1
+        np.testing.assert_array_equal(found[0], [0.25, -0.5])
+        assert fd_calls == []
+
+    def test_identity_miss_is_final(self, fd_calls):
+        # P_K(u) is the nearest point of K, so no multistart can beat it
+        simplex = Simplex(3)
+        u = np.array([0.9, 0.6, -0.2])
+        with pytest.raises(InversionFailed) as exc:
+            select_preimage(Identity(3), simplex, u)
+        assert exc.value.best_residual == simplex.distance(u)
+        np.testing.assert_array_equal(exc.value.best_point, simplex.project(u))
+        assert preimage_candidates(Identity(3), simplex, u) == []
+        assert fd_calls == []
+
+    def test_affine_miss_still_runs_the_multistart(self, fd_calls):
+        box = Box(np.zeros(2), np.ones(2))
+        u = self.SHEAR(np.ones(2)) + np.array([0.03, 0.02])
+        with pytest.raises(InversionFailed) as exc:
+            select_preimage(self.SHEAR, box, u)
+        # every start of the multistart took at least one Gauss-Newton step
+        assert len(fd_calls) >= InversionParams().multistart
+        # the multistart's best is the corner (1, 1), |(0.03, 0.02)| short
+        assert exc.value.best_residual == pytest.approx(0.03605551275463974, abs=1e-12)
+        np.testing.assert_allclose(exc.value.best_point, [1.0, 1.0], atol=1e-12)
+        assert preimage_candidates(self.SHEAR, box, u) == []
+
+    def test_singular_affine_has_no_closed_form(self):
+        a = Affine(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        assert a.preimage(np.array([1.0, 2.0])) is None
+        assert Affine(np.ones((1, 2))).preimage(np.array([1.0])) is None
+        assert PointwiseNonlinear("cube", 2).preimage(np.array([1.0, 8.0])) is None
+
+    def test_cache_key_holds_large_coordinates(self):
+        # a key quantized to int64 collapsed every coordinate above ~9.2e9
+        box = Box(np.array([1e10]), np.array([3e10]))
+        reduced = ReducedOperator(Identity(1), Identity(1), box)
+        reduced.representative(np.array([1.2e10]))
+        x = reduced.representative(np.array([2.5e10]))
+        np.testing.assert_array_equal(x, [2.5e10])
+
+
+class _KeyErrorSampling(Box):
+    def sample(self, rng, n=None):
+        raise KeyError("sample")
+
+
+def test_gap_probes_do_not_swallow_programming_errors():
+    with pytest.raises(KeyError):
+        default_gap_probes(_KeyErrorSampling(np.zeros(2), np.ones(2)))

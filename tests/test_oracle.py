@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gvikit.errors import DimensionTooLarge, EmptyGrid
-from gvikit.geometry import Ball, Box, Simplex
+from gvikit.geometry import Ball, Box, HPolytope, Simplex
 from gvikit.operators import Affine, Constant, Identity, PointwiseNonlinear, Sum
 from gvikit.oracle import (
     GRID_POINT_CAP,
@@ -141,3 +141,44 @@ class TestBruteCoincidence:
 
     def test_cap_is_exposed(self):
         assert GRID_POINT_CAP == 10_000_000
+
+
+def _grid_points_by_scan(K, resolution):
+    """Reference grid: the lattice clipped to K, plus every vertex that no
+    kept lattice point matches within 1e-12, found by scanning them all."""
+    lo, hi = K.bounding_box()
+    axes = [
+        lo[i] + resolution * np.arange(int(np.floor((hi[i] - lo[i]) / resolution + 1e-12)) + 1)
+        for i in range(K.dim)
+    ]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, K.dim)
+    pts = pts[K._distance_batch(pts) <= 1e-9]
+    extra = [
+        v
+        for v in np.asarray(K.vertices(), dtype=float)
+        if pts.size == 0 or np.min(np.linalg.norm(pts - v, axis=1)) > 1e-12
+    ]
+    if extra:
+        pts = np.concatenate([pts, np.array(extra)], axis=0)
+    return pts
+
+
+_CUT_CUBE = HPolytope(
+    np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 1.0], [-1.0, 2.0, 0.5]]]),
+    np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 2.2, 1.3]),
+)
+
+
+@pytest.mark.parametrize(
+    "K, resolution",
+    [
+        (Box(np.zeros(4), np.ones(4)), 0.05),
+        (Box(np.zeros(4), np.ones(4)), 0.3),
+        (Simplex(3), 0.25),
+        (Simplex(3), 0.3),
+        (_CUT_CUBE, 0.1),
+        (_CUT_CUBE, 0.15),
+    ],
+)
+def test_vertex_dedup_matches_a_full_scan(K, resolution):
+    np.testing.assert_array_equal(grid_points(K, resolution), _grid_points_by_scan(K, resolution))
