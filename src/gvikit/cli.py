@@ -16,18 +16,21 @@ import time
 import numpy as np
 
 from . import __version__
-from .coincidence import CoincidenceProblem, find_coincidence, precheck
+from .coincidence import CoincidenceProblem, precheck
 from .demos import DEMOS, get_demo
-from .errors import CertificationFailed, SchemaError, ToolkitError
+from .errors import SchemaError, ToolkitError
 from .gvi import (
+    COINCIDENCE_TOL,
+    COMPLEMENTARITY_TOL,
     GAP_TOL,
     GviProblem,
+    certify as certify_solve,
     check_selection_independence,
-    complementarity_check,
+    solve_gvi,
 )
-from .gvi import solve_gvi
 from .operators import (
     Affine,
+    Difference,
     Identity,
     SampleConfig,
     affine_relative_monotone,
@@ -36,7 +39,7 @@ from .operators import (
     check_ql,
 )
 from .oracle import brute_coincidence, brute_gap
-from .schema import parse_problem, validate
+from .schema import check_tolerance, parse_problem, validate
 
 # Sampled checks at the CLI run against this tolerance rather than the
 # library default 1e-9: several checks compare values recovered through
@@ -44,7 +47,6 @@ from .schema import parse_problem, validate
 CHECK_TOL = 1e-6
 DEFAULT_CHECK_SAMPLES = 200
 DEFAULT_RESOLUTION = 0.05
-COMPLEMENTARITY_TOL = 1e-8
 
 _LOAD_BEARING = {
     "monotone_relative": True,
@@ -95,72 +97,95 @@ def _monotone_report(T, t, K, cfg):
     return check_monotone_relative(T, t, K, cfg)
 
 
-def _coincidence_problem(problem, tol):
-    f = problem.operators["f"]
-    g = problem.operators.get("g") or Identity(problem.feasible_set.dim)
-    image = problem.image_set if problem.image_set is not None else problem.feasible_set
-    return CoincidenceProblem(
-        f=f,
-        g=g,
-        K=problem.feasible_set,
-        image_gK=image,
-        params=problem.solver,
-        inversion=problem.inversion,
-        coincidence_tol=tol,
-    )
+def _normalize(problem):
+    """The problem as one ``GviProblem`` plus the kind's extra certificate.
 
-
-def _pair_for_kind(problem):
-    """(outer, inner, solve set) for the gap-style kinds."""
+    Returns ``(gvi_problem, pair, cone)``.  A VI is the case ``a = id``.
+    Coincidence and fixed-point problems solve ``A = g - f``, ``a = g``
+    (``g = id`` for a fixed point) and carry ``pair = (f, g)``.  A
+    complementarity problem solves ``A = T``, ``a = g`` on its compact
+    domain and carries its ``cone``.  Unused extras are None.
+    """
+    ops, K = problem.operators, problem.feasible_set
+    image, pair, cone = problem.image_set, None, None
     if problem.kind == "vi":
-        return (
-            problem.operators["A"],
-            Identity(problem.feasible_set.dim),
-            problem.feasible_set,
-        )
-    if problem.kind == "gvi":
-        return problem.operators["A"], problem.operators["a"], problem.feasible_set
-    return problem.operators["T"], problem.operators["g"], problem.domain
+        A, a, image = ops["A"], Identity(K.dim), K
+    elif problem.kind == "gvi":
+        A, a = ops["A"], ops["a"]
+    elif problem.kind == "complementarity":
+        A, a, K, cone = ops["T"], ops["g"], problem.domain, problem.feasible_set
+    else:
+        f, a = ops["f"], ops.get("g") or Identity(K.dim)
+        A, pair = Difference(a, f), (f, a)
+        image = image if image is not None else K
+    gvi_problem = GviProblem(
+        A=A, a=a, K=K, image_aK=image, params=problem.solver, inversion=problem.inversion
+    )
+    return gvi_problem, pair, cone
 
 
-def _battery(problem, coincidence_tol):
+def _entry(report):
+    entry = report.to_dict()
+    entry["load_bearing"] = _LOAD_BEARING.get(entry["property"], False)
+    return entry
+
+
+def _battery(problem, gvi_problem, pair):
+    """The kind's hypothesis checks, as report entries marked load-bearing or not."""
     cfg = _check_cfg(problem)
-    kind = problem.kind
-    if kind == "vi":
-        A, ident, K = _pair_for_kind(problem)
-        return [_monotone_report(A, ident, K, cfg)]
-    if kind in ("gvi", "complementarity"):
-        outer, inner, base = _pair_for_kind(problem)
-        return [
-            _monotone_report(outer, inner, base, cfg),
-            check_ql(inner, base, cfg),
-            check_fiber_condition(outer, inner, base, cfg, problem.inversion),
+    A, a, K = gvi_problem.A, gvi_problem.a, gvi_problem.K
+    if pair is not None:
+        f, g = pair
+        reports = precheck(
+            CoincidenceProblem(
+                f=f, g=g, K=K, image_gK=gvi_problem.image_aK, inversion=problem.inversion
+            ),
+            cfg,
+        )
+        if problem.kind == "coincidence":
+            reports.append(check_ql(g, K, cfg))
+    elif problem.kind == "vi":
+        reports = [_monotone_report(A, a, K, cfg)]
+    else:
+        reports = [
+            _monotone_report(A, a, K, cfg),
+            check_ql(a, K, cfg),
+            check_fiber_condition(A, a, K, cfg, problem.inversion),
         ]
-    cp = _coincidence_problem(problem, coincidence_tol)
-    reports = precheck(cp, cfg)
-    if kind == "coincidence":
-        reports.append(check_ql(cp.g, cp.K, cfg))
-    return reports
+    return [_entry(report) for report in reports]
 
 
-def _tolerance(problem, key, flag, default):
-    if flag is not None:
-        return float(flag)
-    return float(problem.tolerances.get(key, default))
+def _refuted(battery):
+    return any(entry["verdict"] == "violated" and entry["load_bearing"] for entry in battery)
 
 
-def _oracle_section(problem, solution, resolution, gap_tol):
+def _tolerances(problem, pair, cone, tol, resolution):
+    """Every tolerance of the run; ``--tol`` overrides the certificate of the kind."""
+    tols = {
+        "gap": GAP_TOL,
+        "coincidence": COINCIDENCE_TOL,
+        "complementarity": COMPLEMENTARITY_TOL,
+        "resolution": DEFAULT_RESOLUTION,
+        **problem.tolerances,
+    }
+    key = "coincidence" if pair else "complementarity" if cone else "gap"
+    if tol is not None:
+        tols[key] = check_tolerance(tol, f"/tolerances/{key}", "--tol")
+    if resolution is not None:
+        tols["resolution"] = check_tolerance(resolution, "/tolerances/resolution", "--resolution")
+    return tols
+
+
+def _oracle_section(gvi_problem, pair, solution, resolution, gap_tol):
     try:
-        if problem.kind in ("vi", "gvi", "complementarity"):
-            outer, inner, base = _pair_for_kind(problem)
-            gap = brute_gap(outer, inner, base, solution, resolution)
+        if pair is None:
+            gap = brute_gap(gvi_problem.A, gvi_problem.a, gvi_problem.K, solution, resolution)
             return {
                 "resolution": resolution,
                 "gap": gap,
                 "refutes": bool(gap < -gap_tol),
             }
-        cp = _coincidence_problem(problem, tol=gap_tol)
-        point, residual = brute_coincidence(cp.f, cp.g, cp.K, resolution)
+        point, residual = brute_coincidence(*pair, gvi_problem.K, resolution)
         return {
             "resolution": resolution,
             "point": point.tolist(),
@@ -174,35 +199,21 @@ def _oracle_section(problem, solution, resolution, gap_tol):
 def run_problem(problem, certify=False, resolution=None, tol=None):
     """Solve one parsed problem and assemble the run report.
 
-    Returns ``(report_dict, exit_code)``.  Certification means every
-    residual-level test passed; hypothesis checks can refute a run but
-    never substitute for the residual certificates.
+    Returns ``(report_dict, exit_code)``.  Every kind takes the same path:
+    ``_normalize``, one solve, one ``gvi.certify`` call and one status
+    rule.  Certification means every residual-level test passed;
+    hypothesis checks can refute a run but never substitute for the
+    residual certificates.
     """
     t_start = time.perf_counter()
-    kind = problem.kind
-    gap_tol = _tolerance(problem, "gap", tol if kind in ("vi", "gvi") else None, GAP_TOL)
-    coin_tol = _tolerance(
-        problem, "coincidence", tol if kind in ("coincidence", "fixed_point") else None, 1e-6
-    )
-    comp_tol = _tolerance(
-        problem, "complementarity", tol if kind == "complementarity" else None,
-        COMPLEMENTARITY_TOL,
-    )
-    pullback_tol = _tolerance(
-        problem, "pullback", None, max(1e-7, 10.0 * problem.inversion.tol)
-    )
-    resolution = (
-        float(resolution)
-        if resolution is not None
-        else float(problem.tolerances.get("resolution", DEFAULT_RESOLUTION))
-    )
-
-    battery = [report.to_dict() for report in _battery(problem, coin_tol)]
+    gvi_problem, pair, cone = _normalize(problem)
+    tols = _tolerances(problem, pair, cone, tol, resolution)
+    battery = _battery(problem, gvi_problem, pair)
 
     report = {
         "tool": "gvikit",
         "tool_version": __version__,
-        "kind": kind,
+        "kind": problem.kind,
         "problem": problem.raw,
         "solution": None,
         "reduced_solution": None,
@@ -215,92 +226,51 @@ def run_problem(problem, certify=False, resolution=None, tol=None):
         "exit_status": "failed",
     }
 
-    certified = False
-    converged = False
-    error = None
+    certified = converged = False
+    refutation = error = None
     t_solve = time.perf_counter()
     try:
-        if kind in ("vi", "gvi", "complementarity"):
-            outer, inner, base = _pair_for_kind(problem)
-            image = problem.image_set if kind != "vi" else problem.feasible_set
-            gvi_problem = GviProblem(
-                A=outer,
-                a=inner,
-                K=base,
-                image_aK=image,
-                params=problem.solver,
-                inversion=problem.inversion,
-            )
-            rep = solve_gvi(gvi_problem)
-            if kind == "gvi":
-                battery.append(
-                    check_selection_independence(gvi_problem, rep.solution).to_dict()
-                )
-            report["residuals"] = {
-                "natural": rep.residual,
-                "gap": rep.gap_certificate,
-                "pullback": rep.pullback_residual,
-            }
-            converged = rep.converged
-            certified = (
-                converged
-                and rep.gap_certificate >= -gap_tol
-                and rep.pullback_residual <= pullback_tol
-            )
-            if kind == "complementarity":
-                comp = complementarity_check(
-                    problem.operators["T"],
-                    problem.operators["g"],
-                    problem.feasible_set,
-                    rep.solution,
-                    tol=comp_tol,
-                )
-                report["complementarity"] = comp.to_dict()
-                certified = certified and comp.ok
-        else:
-            cp = _coincidence_problem(problem, coin_tol)
-            rep = find_coincidence(cp)
-            report["residuals"] = {
-                "natural": rep.residual,
-                "gap": rep.gap_certificate,
-                "pullback": rep.pullback_residual,
-                "coincidence": rep.coincidence_residual,
-            }
-            converged = rep.converged
-            certified = rep.certified and rep.gap_certificate >= -gap_tol
+        rep = solve_gvi(gvi_problem)
+        if problem.kind == "gvi":
+            battery.append(_entry(check_selection_independence(gvi_problem, rep.solution)))
+        cert = certify_solve(
+            gvi_problem,
+            rep,
+            gap_tol=tols["gap"],
+            pullback_tol=tols.get("pullback"),
+            pair=pair,
+            cone=cone,
+            coincidence_tol=tols["coincidence"],
+            complementarity_tol=tols["complementarity"],
+        )
+        converged, certified, refutation = rep.converged, cert.certified, cert.refutation
         report["solution"] = rep.solution
         report["reduced_solution"] = rep.reduced_solution
+        report["residuals"] = cert.residuals
         report["iterations"] = rep.iterations
         report["step_used"] = rep.step_used
-    except CertificationFailed as err:
-        converged = True
-        report["solution"] = err.solution
-        report["residuals"] = {"coincidence": err.residual}
-        error = {"type": "CertificationFailed", "message": str(err)}
+        if cone is not None:
+            report["complementarity"] = cert.complementarity.to_dict()
     except ToolkitError as err:
         error = {"type": type(err).__name__, "message": str(err)}
+    if refutation is not None:
+        # the report names the failed certificate; no exception carries it
+        error = {"type": "CertificationFailed", "message": refutation}
     solve_seconds = time.perf_counter() - t_solve
-
     report["converged"] = converged
-    for entry in battery:
-        entry["load_bearing"] = _LOAD_BEARING.get(entry["property"], False)
 
     if certify and report["solution"] is not None:
         oracle = _oracle_section(
-            problem, np.asarray(report["solution"], dtype=float), resolution, gap_tol
+            gvi_problem, pair, np.asarray(report["solution"], dtype=float),
+            tols["resolution"], tols["gap"],
         )
         report["oracle"] = oracle
         if oracle.get("refutes"):
             certified = False
 
-    refuted = any(
-        entry["verdict"] == "violated" and entry["load_bearing"] for entry in battery
-    )
     if certified:
         status = "certified"
-    elif error is not None and error["type"] == "CertificationFailed":
-        status = "refuted_hypothesis"
-    elif refuted:
+    elif refutation is not None or _refuted(battery):
         status = "refuted_hypothesis"
     elif report.get("oracle", {}).get("refutes"):
         status = "failed"
@@ -321,13 +291,9 @@ def run_problem(problem, certify=False, resolution=None, tol=None):
 def run_check(problem):
     """Hypothesis battery only; exit 0 when nothing load-bearing fails."""
     t_start = time.perf_counter()
-    coin_tol = _tolerance(problem, "coincidence", None, 1e-6)
-    battery = [report.to_dict() for report in _battery(problem, coin_tol)]
-    for entry in battery:
-        entry["load_bearing"] = _LOAD_BEARING.get(entry["property"], False)
-    refuted = any(
-        entry["verdict"] == "violated" and entry["load_bearing"] for entry in battery
-    )
+    gvi_problem, pair, _ = _normalize(problem)
+    battery = _battery(problem, gvi_problem, pair)
+    refuted = _refuted(battery)
     report = {
         "tool": "gvikit",
         "tool_version": __version__,

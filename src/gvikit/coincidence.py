@@ -8,28 +8,25 @@ one: at a solution the probe ``y = g^{-1}(f(x))`` forces
 special case.
 
 ``find_coincidence`` certifies the residual explicitly instead of trusting
-that argument: a solved inequality whose residual stays large is reported
-as ``CertificationFailed`` together with hypothesis-check reports that
-usually explain which assumption broke.
+that argument, with the rule ``gvi.certify`` applies to every kind.  A
+solved inequality whose residual stays large is not an error: it comes
+back as a converged, uncertified report, and ``precheck`` names the
+hypothesis that usually broke (most often range inclusion).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .errors import CertificationFailed, InversionFailed
-from .geometry import ConvexSet, as_vector
+from .geometry import ConvexSet
 from .gvi import (
-    GAP_TOL,
+    COINCIDENCE_TOL,
     GviProblem,
     GviSolveReport,
     InversionParams,
-    default_gap_probes,
-    gvi_gap,
-    select_preimage,
+    certify,
     solve_gvi,
 )
 from .operators import (
@@ -44,7 +41,6 @@ from .operators import (
 )
 from .vi import SolverParams
 
-COINCIDENCE_TOL = 1e-6
 _PRECHECK_SEED = 52802179
 
 
@@ -67,17 +63,6 @@ class CoincidenceReport(GviSolveReport):
     certified: bool = False
 
 
-def _as_gvi(problem):
-    return GviProblem(
-        A=Difference(problem.g, problem.f),
-        a=problem.g,
-        K=problem.K,
-        image_aK=problem.image_gK,
-        params=problem.params,
-        inversion=problem.inversion,
-    )
-
-
 def precheck(problem, cfg=None):
     """Hypothesis reports for the pair, in load-bearing order.
 
@@ -86,7 +71,6 @@ def precheck(problem, cfg=None):
     condition), and the fiber condition for the reduction.
     """
     cfg = cfg if cfg is not None else SampleConfig(seed=_PRECHECK_SEED, samples=200)
-    gvi_problem = _as_gvi(problem)
     return [
         check_range_inclusion(
             problem.f, problem.g, problem.K, problem.image_gK, cfg, problem.inversion
@@ -94,60 +78,40 @@ def precheck(problem, cfg=None):
         check_g_pseudocontractive(problem.f, problem.g, problem.K, cfg),
         check_g_nonexpansive(problem.f, problem.g, problem.K, cfg),
         check_fiber_condition(
-            gvi_problem.A, gvi_problem.a, problem.K, cfg, problem.inversion
+            Difference(problem.g, problem.f), problem.g, problem.K, cfg, problem.inversion
         ),
     ]
 
 
 def find_coincidence(problem, x0=None):
-    """Solve for a coincidence point and certify its residual.
+    """Solve ``VI(g - f, g, K)`` for a coincidence point and certify it.
 
-    Returns a report whose ``certified`` flag states that
-    ``|f(x) - g(x)| <= coincidence_tol``.  A non-converged inner solve
-    comes back uncertified with the best residual found; a converged solve
-    that still misses the tolerance raises ``CertificationFailed`` carrying
-    the precheck reports, because that outcome indicates a violated
-    hypothesis rather than a solver failure.
+    ``certified`` follows ``gvi.certify``: the solve converged, the gap
+    and pullback residuals are within tolerance, and ``|f(x) - g(x)| <=
+    coincidence_tol``.  A miss is a status, never an exception.  A
+    converged solve that misses (``converged=True``, ``certified=False``)
+    points to a violated hypothesis, which ``precheck(problem)`` names.
     """
-    gvi_problem = _as_gvi(problem)
-    rep = solve_gvi(gvi_problem, x0=x0)
-    x = rep.solution
-    fx = np.asarray(problem.f(x), dtype=float)
-    gx = np.asarray(problem.g(x), dtype=float)
-    residual = float(np.linalg.norm(fx - gx))
-
-    # sharpen the gap certificate with the proof probe g^{-1}(f(x))
-    gap = rep.gap_certificate
-    try:
-        y_probe = select_preimage(problem.g, problem.K, fx, problem.inversion)
-        probes = default_gap_probes(problem.K) + [y_probe]
-        gap = gvi_gap(gvi_problem, x, probes=probes)
-    except InversionFailed:
-        pass
-
-    certified = bool(rep.converged and residual <= problem.coincidence_tol)
-    report = CoincidenceReport(
-        solution=x,
-        residual=rep.residual,
-        iterations=rep.iterations,
-        converged=rep.converged,
-        step_used=rep.step_used,
-        gap_certificate=gap,
-        history=rep.history,
-        reduced_solution=rep.reduced_solution,
-        pullback_residual=rep.pullback_residual,
-        coincidence_residual=residual,
-        certified=certified,
+    gvi_problem = GviProblem(
+        A=Difference(problem.g, problem.f),
+        a=problem.g,
+        K=problem.K,
+        image_aK=problem.image_gK,
+        params=problem.params,
+        inversion=problem.inversion,
     )
-    if rep.converged and not certified:
-        raise CertificationFailed(
-            f"variational inequality solved but |f(x) - g(x)| = {residual:.3e} "
-            f"exceeds {problem.coincidence_tol}",
-            solution=x,
-            residual=residual,
-            reports=precheck(problem),
-        )
-    return report
+    rep = solve_gvi(gvi_problem, x0=x0)
+    cert = certify(
+        gvi_problem,
+        rep,
+        pair=(problem.f, problem.g),
+        coincidence_tol=problem.coincidence_tol,
+    )
+    return CoincidenceReport(
+        **dict(vars(rep), gap_certificate=cert.residuals["gap"]),
+        coincidence_residual=cert.residuals["coincidence"],
+        certified=cert.certified,
+    )
 
 
 def find_fixed_point(f, K, params=None, inversion=None, tol=COINCIDENCE_TOL, x0=None):

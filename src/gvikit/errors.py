@@ -42,20 +42,6 @@ class InversionFailed(ToolkitError, RuntimeError):
         self.best_point = best_point
 
 
-class CertificationFailed(ToolkitError, RuntimeError):
-    """The inner solve finished but the requested certificate did not hold.
-
-    Carries the candidate solution, the offending residual, and any
-    hypothesis-check reports gathered while diagnosing the failure.
-    """
-
-    def __init__(self, message, solution=None, residual=None, reports=None):
-        super().__init__(message)
-        self.solution = solution
-        self.residual = residual
-        self.reports = list(reports) if reports is not None else []
-
-
 class SchemaError(ToolkitError, ValueError):
     """A problem file violates the input schema.
 

@@ -6,15 +6,16 @@ operator ``A o b`` on ``a(K)``, where b picks one preimage per image
 point.  This module supplies the preimage selection (the closed-form
 inverse for identity and nonsingular affine maps, otherwise projected
 Gauss-Newton with deterministic multistart), the cached reduced operator,
-the end-to-end solver, and the gap and complementarity certificates used
-to audit its output.
+the end-to-end solver, and ``certify``: the gap, pullback, coincidence
+and complementarity residuals of a solve and the one rule that certifies
+it for every problem kind.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from .vi import SolveReport, SolverParams, solve_extragradient
 
 GAP_TOL = 1e-6
 IMAGE_TOL = 1e-7
+COINCIDENCE_TOL = 1e-6
+COMPLEMENTARITY_TOL = 1e-8
 
 _MULTISTART_SEED = 715225741
 _IMAGE_CHECK_SEED = 398764591
@@ -254,24 +257,30 @@ class GviProblem:
             raise DimensionMismatch("operator input dimensions must match K")
         if self.image_aK.dim != self.a.out_dim:
             raise DimensionMismatch("image set dimension must match the range of a")
-        try:
-            rng = np.random.default_rng(_IMAGE_CHECK_SEED)
-            pts = np.atleast_2d(self.K.sample(rng, _IMAGE_CHECK_SAMPLES))
-        except (UnsupportedVariant, NonConvergence):
-            return
-        worst = 0.0
-        witness = None
-        for x in pts:
-            d = self.image_aK.distance(np.asarray(self.a(x), dtype=float))
-            if d > worst:
-                worst = d
-                witness = x
+        worst, witness = _image_miss(self.a, self.K, self.image_aK, _IMAGE_CHECK_SEED)
         if worst > IMAGE_TOL:
             warnings.warn(
                 f"declared image misses a(x) by {worst:.3e} at x={witness.tolist()}",
                 ImageConsistencyWarning,
                 stacklevel=2,
             )
+
+
+def _image_miss(a, K, image, seed, samples=_IMAGE_CHECK_SAMPLES):
+    """``(worst, witness)``: the largest sampled distance of ``a(x)`` from ``image``.
+
+    Samples K with a fixed seed; ``(0.0, None)`` when K cannot be sampled.
+    """
+    try:
+        pts = np.atleast_2d(K.sample(np.random.default_rng(seed), samples))
+    except (UnsupportedVariant, NonConvergence):
+        return 0.0, None
+    worst, witness = 0.0, None
+    for x in pts:
+        d = image.distance(np.asarray(a(x), dtype=float))
+        if d > worst:
+            worst, witness = d, x
+    return worst, witness
 
 
 @dataclass
@@ -367,7 +376,7 @@ class ComplementarityReport:
         }
 
 
-def complementarity_check(T, g, cone, u, tol=1e-8):
+def complementarity_check(T, g, cone, u, tol=COMPLEMENTARITY_TOL):
     """Generalized complementarity predicate at the point ``u``.
 
     Checks ``g(u)`` in the cone, ``T(u)`` in the polar cone (nonnegative
@@ -389,6 +398,82 @@ def complementarity_check(T, g, cone, u, tol=1e-8):
         orthogonal=orth <= tol,
         slacks={"membership": membership, "polar": polar, "orthogonality": orth},
     )
+
+
+@dataclass
+class Certificate:
+    """The residuals of one solve and the verdict of the certification rule.
+
+    ``refutation`` is set when a converged coincidence solve misses its
+    residual: at a solution of the inequality the residual vanishes
+    whenever ``f(K)`` lies in ``g(K)``, so the miss refutes a hypothesis
+    rather than the solver.
+    """
+
+    residuals: dict
+    certified: bool
+    complementarity: Optional[ComplementarityReport] = None
+    refutation: Optional[str] = None
+
+
+def certify(
+    problem,
+    rep,
+    gap_tol=GAP_TOL,
+    pullback_tol=None,
+    pair=None,
+    cone=None,
+    coincidence_tol=COINCIDENCE_TOL,
+    complementarity_tol=COMPLEMENTARITY_TOL,
+):
+    """Residuals of the ``solve_gvi`` report ``rep`` and one verdict for every kind.
+
+    The run is certified when the solve converged, the gap is at least
+    ``-gap_tol``, the pullback residual is at most ``pullback_tol``
+    (default ``max(1e-7, 10 * inversion.tol)``), and the kind's extra
+    certificate holds:
+
+    - ``pair = (f, g)``, a coincidence problem with ``A = g - f`` and
+      ``a = g``: ``|f(x) - g(x)| <= coincidence_tol``.  The proof probe
+      ``g^{-1}(f(x))`` also joins the gap probes.
+    - ``cone``, a complementarity problem with ``T = A`` and ``g = a``:
+      every slack of ``complementarity_check`` is within
+      ``complementarity_tol``.
+    """
+    x = rep.solution
+    if pullback_tol is None:
+        pullback_tol = max(1e-7, 10.0 * problem.inversion.tol)
+    residuals = {
+        "natural": rep.residual, "gap": rep.gap_certificate, "pullback": rep.pullback_residual
+    }
+    holds, comp, refutation = True, None, None
+    if pair is not None:
+        f, g = pair
+        fx = np.asarray(f(x), dtype=float)
+        try:
+            y_probe = select_preimage(g, problem.K, fx, problem.inversion)
+            probes = default_gap_probes(problem.K) + [y_probe]
+            residuals["gap"] = gvi_gap(problem, x, probes=probes)
+        except InversionFailed:
+            pass
+        residual = float(np.linalg.norm(fx - np.asarray(g(x), dtype=float)))
+        residuals["coincidence"] = residual
+        holds = residual <= coincidence_tol
+        if rep.converged and not holds:
+            refutation = (
+                f"variational inequality solved but |f(x) - g(x)| = {residual:.3e} "
+                f"exceeds {coincidence_tol}"
+            )
+    if cone is not None:
+        comp = complementarity_check(problem.A, problem.a, cone, x, tol=complementarity_tol)
+        holds = comp.ok
+    certified = bool(
+        rep.converged
+        and residuals["gap"] >= -gap_tol
+        and residuals["pullback"] <= pullback_tol
+        and holds
+    )
+    return Certificate(residuals, certified, comp, refutation)
 
 
 def check_selection_independence(problem, x, inversion=None, tol=1e-6):

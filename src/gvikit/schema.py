@@ -7,12 +7,11 @@ builds real solver objects, so a file that parses is a file that runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .errors import NonConvergence, SchemaError, ToolkitError, UnsupportedVariant
+from .errors import SchemaError, ToolkitError
 from .geometry import (
     Ball,
     Box,
@@ -22,8 +21,8 @@ from .geometry import (
     Simplex,
     affine_image_polytope,
 )
-from .gvi import IMAGE_TOL, InversionParams
-from .operators import Affine, Identity, OperatorExpr, operator_from_dict
+from .gvi import IMAGE_TOL, InversionParams, _image_miss
+from .operators import Affine, Identity, operator_from_dict
 from .vi import SolverParams
 
 KINDS = ("vi", "gvi", "coincidence", "fixed_point", "complementarity")
@@ -48,6 +47,9 @@ _TOP_KEYS = {
     "seed",
     "tolerances",
 }
+
+# the inner map of each kind that declares or derives an image set
+_INNER = {"gvi": "a", "coincidence": "g", "complementarity": "g"}
 
 _SET_KEYS = {
     "box": {"type", "lower", "upper"},
@@ -101,6 +103,15 @@ def _expect_number(v, pointer):
 def _expect_int(v, pointer):
     if isinstance(v, bool) or not isinstance(v, int):
         raise SchemaError(pointer, f"expected an integer, got {type(v).__name__}")
+    return v
+
+
+def check_tolerance(v, pointer, flag=None):
+    """A finite tolerance ``> 0``; ``flag`` names the command-line flag that set it."""
+    v = _expect_number(v, pointer)
+    if not (math.isfinite(v) and v > 0):
+        source = f"{flag} " if flag else ""
+        raise SchemaError(pointer, f"{source}must be a finite number > 0, got {v}")
     return v
 
 
@@ -259,7 +270,10 @@ def parse_problem(data):
         tol_raw = _expect_dict(d["tolerances"], "/tolerances")
         _reject_unknown(tol_raw, _TOLERANCE_KEYS, "/tolerances")
         for key, value in tol_raw.items():
-            tolerances[key] = _expect_number(value, f"/tolerances/{key}")
+            pointer = f"/tolerances/{key}"
+            if key == "check_samples" and _expect_int(value, pointer) < 1:
+                raise SchemaError(pointer, f"must be an integer >= 1, got {value}")
+            tolerances[key] = check_tolerance(value, pointer)
 
     image_set = None
     domain = None
@@ -280,11 +294,10 @@ def parse_problem(data):
     elif kind in ("gvi", "coincidence"):
         if "domain" in d:
             raise SchemaError("/domain", f"field not allowed for kind {kind!r}")
-        inner = operators["a"] if kind == "gvi" else operators["g"]
         if "image_set" in d:
             image_set = parse_set(d["image_set"], "/image_set")
         else:
-            image_set = _derive_image(inner, feasible, "/image_set")
+            image_set = _derive_image(operators[_INNER[kind]], feasible, "/image_set")
     else:
         for bad in ("image_set", "domain"):
             if bad in d:
@@ -298,7 +311,7 @@ def parse_problem(data):
                 f"operator input dimension {op.in_dim} does not match the set dimension {base.dim}",
             )
     if image_set is not None:
-        inner_name = {"gvi": "a", "coincidence": "g", "complementarity": "g"}[kind]
+        inner_name = _INNER[kind]
         if image_set.dim != operators[inner_name].out_dim:
             raise SchemaError(
                 "/image_set",
@@ -335,30 +348,14 @@ def validate(data):
         )
         return diagnostics
 
-    inner_name = {"gvi": "a", "coincidence": "g", "complementarity": "g"}.get(problem.kind)
-    if inner_name and problem.image_set is not None:
-        inner = problem.operators[inner_name]
+    inner_name = _INNER.get(problem.kind)
+    if inner_name:
         base = problem.domain if problem.kind == "complementarity" else problem.feasible_set
-        try:
-            rng = np.random.default_rng(problem.seed)
-            pts = np.atleast_2d(base.sample(rng, 64))
-        except (UnsupportedVariant, NonConvergence):
-            pts = None
-        if pts is not None:
-            worst, witness = 0.0, None
-            for x in pts:
-                dist = problem.image_set.distance(np.asarray(inner(x), dtype=float))
-                if dist > worst:
-                    worst, witness = dist, x
-            if worst > IMAGE_TOL:
-                diagnostics.append(
-                    {
-                        "severity": "warning",
-                        "pointer": "/image_set",
-                        "message": (
-                            f"declared image misses {inner_name}(x) by {worst:.3e} "
-                            f"at x={witness.tolist()}"
-                        ),
-                    }
-                )
+        inner = problem.operators[inner_name]
+        worst, witness = _image_miss(inner, base, problem.image_set, problem.seed)
+        if worst > IMAGE_TOL:
+            message = (
+                f"declared image misses {inner_name}(x) by {worst:.3e} at x={witness.tolist()}"
+            )
+            diagnostics.append({"severity": "warning", "pointer": "/image_set", "message": message})
     return diagnostics

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from gvikit.errors import CertificationFailed
 from gvikit.geometry import Ball, Box, affine_image_polytope
 from gvikit.coincidence import (
     CoincidenceProblem,
@@ -61,7 +60,7 @@ class TestFindCoincidence:
         assert rep.certified
         np.testing.assert_allclose(rep.solution, [0.44, 0.32], atol=1e-6)
 
-    def test_no_coincidence_raises_with_diagnosis(self):
+    def test_no_coincidence_reports_uncertified_with_diagnosis(self):
         # f is the constant 2, outside g(K) = [0, 1]: the inequality still
         # solves (at the boundary) but the residual cannot close.
         problem = CoincidenceProblem(
@@ -70,12 +69,12 @@ class TestFindCoincidence:
             K=Box(np.zeros(1), np.ones(1)),
             image_gK=Box(np.zeros(1), np.ones(1)),
         )
-        with pytest.raises(CertificationFailed) as exc:
-            find_coincidence(problem)
-        err = exc.value
-        np.testing.assert_allclose(err.solution, [1.0], atol=1e-6)
-        assert err.residual == pytest.approx(1.0, abs=1e-6)
-        by_name = {r.property: r for r in err.reports}
+        rep = find_coincidence(problem)
+        assert rep.converged
+        assert not rep.certified
+        np.testing.assert_allclose(rep.solution, [1.0], atol=1e-6)
+        assert rep.coincidence_residual == pytest.approx(1.0, abs=1e-6)
+        by_name = {r.property: r for r in precheck(problem)}
         assert by_name["range_inclusion"].verdict == "violated"
 
     def test_report_fields_cover_the_pipeline(self):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from gvikit import cli, coincidence, gvi
 from gvikit.cli import main
 from gvikit.demos import DEMOS, demo_names, get_demo
 from gvikit.errors import SchemaError
@@ -318,3 +319,111 @@ class TestCli:
         assert code == 0
         np.testing.assert_allclose(report["solution"], [1.0], atol=1e-6)
         assert report["residuals"]["coincidence"] <= 1e-6
+
+
+def _escaping_fixed_point():
+    """f = 2 maps [0, 1] outside itself: the inequality solves at 1, no fixed point exists."""
+    return {
+        "version": "1",
+        "kind": "fixed_point",
+        "operators": {"f": {"op": "constant", "value": [2.0], "in_dim": 1}},
+        "set": {"type": "box", "lower": [0.0], "upper": [1.0]},
+        "seed": 3,
+    }
+
+
+class TestBadTolerances:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("check_samples", 0),
+            ("check_samples", 0.5),
+            ("resolution", 0),
+            ("resolution", -0.1),
+            ("gap", float("nan")),
+            ("coincidence", float("inf")),
+        ],
+    )
+    def test_schema_error_names_the_pointer(self, capsys, tmp_path, key, value):
+        data = _gvi_file_data()
+        data["tolerances"] = {key: value}
+        diags = validate(data)
+        assert [d["pointer"] for d in diags if d["severity"] == "error"] == [
+            f"/tolerances/{key}"
+        ]
+        path = _write(tmp_path, data)
+        code, report, _ = _run(capsys, ["certify", path, "--quiet"])
+        assert code == 2
+        assert report["exit_status"] == "schema_error"
+        assert report["error"]["pointer"] == f"/tolerances/{key}"
+
+    def test_integral_check_samples_are_accepted(self):
+        data = _gvi_file_data()
+        data["tolerances"] = {"check_samples": 1, "resolution": 0.1, "gap": 1e-6}
+        assert validate(data) == []
+
+    @pytest.mark.parametrize(
+        "flags, pointer",
+        [
+            (["--resolution", "0"], "/tolerances/resolution"),
+            (["--resolution", "-0.1"], "/tolerances/resolution"),
+            (["--tol", "nan"], "/tolerances/gap"),
+            (["--tol", "0"], "/tolerances/gap"),
+        ],
+    )
+    def test_flags_take_the_same_check(self, capsys, tmp_path, flags, pointer):
+        path = _write(tmp_path, _gvi_file_data())
+        code, report, _ = _run(capsys, ["certify", path, "--quiet", *flags])
+        assert code == 2
+        assert report["exit_status"] == "schema_error"
+        assert report["error"]["pointer"] == pointer
+        assert flags[0] in report["error"]["message"]
+
+    def test_tol_flag_names_the_tolerance_of_the_kind(self, capsys, tmp_path):
+        path = _write(tmp_path, _escaping_fixed_point())
+        code, report, _ = _run(capsys, ["find-fixed-point", path, "--tol", "nan", "--quiet"])
+        assert code == 2
+        assert report["error"]["pointer"] == "/tolerances/coincidence"
+
+
+class TestOnePath:
+    def test_refuted_coincidence_is_a_status(self, capsys, tmp_path):
+        path = _write(tmp_path, _escaping_fixed_point())
+        code, report, _ = _run(capsys, ["certify", path, "--quiet"])
+        assert code == 1
+        assert report["exit_status"] == "refuted_hypothesis"
+        assert report["error"]["type"] == "CertificationFailed"
+        assert report["converged"] is True
+        np.testing.assert_allclose(report["solution"], [1.0], atol=1e-6)
+        assert report["residuals"]["coincidence"] == pytest.approx(1.0, abs=1e-6)
+        # the report carries what every other report carries
+        assert set(report["residuals"]) == {"natural", "gap", "pullback", "coincidence"}
+        assert report["iterations"] >= 1
+        assert report["reduced_solution"] is not None
+
+    def test_precheck_runs_once_per_run(self, monkeypatch):
+        calls = []
+        real = coincidence.precheck
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coincidence, "precheck", counted)
+        monkeypatch.setattr(cli, "precheck", counted)
+        report, code = cli.run_problem(parse_problem(_escaping_fixed_point()))
+        assert report["exit_status"] == "refuted_hypothesis"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", demo_names())
+    def test_one_gvi_problem_per_run(self, monkeypatch, name):
+        built = []
+        real = gvi.GviProblem.__post_init__
+
+        def counted(self):
+            built.append(1)
+            real(self)
+
+        monkeypatch.setattr(gvi.GviProblem, "__post_init__", counted)
+        cli.run_problem(parse_problem(get_demo(name)["problem"]), certify=True)
+        assert len(built) == 1
