@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -459,6 +460,18 @@ def _dispatch(args):
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``gvikit list-demos | head``):
+        # send what is left to devnull so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(args):
     try:
         return _dispatch(args)
     except SchemaError as err:

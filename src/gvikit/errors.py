@@ -26,7 +26,7 @@ class EmptySet(ToolkitError, ValueError):
 
 
 class NonConvergence(ToolkitError, RuntimeError):
-    """An iterative projection failed to reach its tolerance in time."""
+    """An iterative routine (rejection sampling, a capped search) gave up."""
 
 
 class EmptyGrid(ToolkitError, ValueError):

@@ -1,11 +1,11 @@
-"""Convex sets with exact or iterative Euclidean projections.
+"""Convex sets with exact Euclidean projections.
 
 Five set variants are provided: axis-aligned boxes, Euclidean balls, the
 standard (probability) simplex, bounded halfspace intersections, and
 finitely generated cones.  Boxes, balls, and simplices project in closed
-form.  Halfspace intersections and cones project with Dykstra's
-alternating-projection scheme, which converges to the exact projection for
-intersections of halfspaces.
+form.  Halfspace intersections and cones project with a primal active-set
+method that starts from a stored feasible point (a vertex, or the apex)
+and reaches the exact projection in finitely many steps.
 
 All sets are immutable value objects and all operations are pure.
 """
@@ -28,10 +28,17 @@ from .errors import (
 )
 
 PROJ_TOL = 1e-10
-PROJ_MAX_ITER = 100_000
 VERTEX_ENUM_MAX_DIM = 6
 VERTEX_DEDUP_TOL = 1e-9
 CONTAINS_TOL = 1e-9
+
+# Active-set projection: a step shorter than _ZERO_STEP (relative to the
+# point and its distance from the start) is zero, and a unit normal within
+# _DEPENDENT of the working span counts as dependent.  The method is finite;
+# the step cap only turns an unforeseen cycle into an error, not a hang.
+_ZERO_STEP = 1e-13
+_DEPENDENT = 1e-9
+_ACTIVE_SET_MAX_STEPS = 1000
 
 # Facet enumeration walks over point subsets; cap the combinatorial budget.
 _HULL_SUBSET_CAP = 200_000
@@ -78,80 +85,56 @@ def _null_space(a, rcond=1e-10):
     return vt[rank:].T
 
 
-def _polish_active_set(normals, offsets, x0, active, feas_tol):
-    """Exact projection from a guessed active set, or None.
+def _project_polyhedron(normals, offsets, point, start):
+    """Euclidean projection of ``point`` onto ``{x : normals @ x <= offsets}``.
 
-    Solves the equality-constrained projection onto the guessed facets and
-    prunes negative multipliers.  A returned point satisfies the full
-    optimality system (feasible, ``x0 - z`` a nonnegative combination of
-    active normals, equality on those facets), which certifies it as the
-    Euclidean projection regardless of how the guess was produced.
+    Primal active-set method for ``min |x - point|^2 / 2`` (Nocedal &
+    Wright, Alg. 16.3, with the identity Hessian), started from the
+    feasible point ``start``.  Each step heads for the projection of
+    ``point`` onto the affine span of the working facets; the first facet
+    that blocks it joins the working set.  Once the iterate is that
+    projection (a full or a zero step), the facet with the most negative
+    multiplier leaves; with none negative the iterate meets the
+    optimality conditions, so it is the projection.  Rows of
+    ``normals`` have unit length.  An orthonormal basis of the working
+    normals gives the step without forming ill-conditioned normal
+    equations, and facets inside their span never join, so the working
+    set stays independent and holds at most ``dim`` facets.
     """
-    idx = list(active)
-    for _ in range(len(idx) + 1):
-        if idx:
-            sub = normals[idx]
-            mu = np.linalg.lstsq(sub @ sub.T, sub @ x0 - offsets[idx], rcond=None)[0]
-            z = x0 - sub.T @ mu
-            if mu.size and float(np.min(mu)) < -1e-12:
-                idx.pop(int(np.argmin(mu)))
+    x0 = np.array(point, dtype=float)
+    if offsets.size == 0 or np.max(normals @ x0 - offsets) <= 0.0:
+        return x0
+    x = np.array(start, dtype=float)
+    # rounding in a step scales with |x0| and |x0 - x|, which only falls
+    zero = _ZERO_STEP * (1.0 + float(np.linalg.norm(x0)) + float(np.linalg.norm(x0 - x)))
+    work = []
+    q = np.zeros((x0.shape[0], 0))  # orthonormal basis of the working normals
+    res = normals  # every normal minus its projection onto that basis
+    for _ in range(_ACTIVE_SET_MAX_STEPS):
+        d = (x0 - x) - q @ (q.T @ (x0 - x))
+        if np.linalg.norm(d) > zero:
+            rate = normals @ d
+            blocking = (rate > 0.0) & (np.einsum("ij,ij->i", res, res) > _DEPENDENT**2)
+            reach = np.full(rate.shape, np.inf)
+            reach[blocking] = np.maximum(offsets[blocking] - normals[blocking] @ x, 0.0) / rate[blocking]
+            j = int(np.argmin(reach))
+            if reach[j] < 1.0:
+                x = x + reach[j] * d
+                work.append(j)
+                v = res[j] - q @ (q.T @ res[j])
+                v /= np.linalg.norm(v)
+                q = np.column_stack([q, v])
+                res = res - np.outer(res @ v, v)
                 continue
-        else:
-            z = x0.copy()
-        if float(np.max(normals @ z - offsets)) <= feas_tol:
-            return z
-        return None
-    return None
-
-
-def _dykstra_halfspaces(normals, offsets, point, tol, max_iter):
-    """Project ``point`` onto the intersection of unit-normal halfspaces.
-
-    Dykstra's corrections make the limit the exact Euclidean projection,
-    not merely a feasible point.  The iterate can park on a spurious face
-    for a whole cycle (zero displacement) while corrections keep draining,
-    so feasibility plus stalled movement alone is not a safe stop: the
-    implied multipliers must also satisfy complementarity.  An accepted
-    iterate is then polished by an exact active-set solve.
-    """
-    x = np.array(point, dtype=float)
-    slack = normals @ x - offsets
-    if slack.size == 0 or np.max(slack) <= 0.0:
-        return x
-    x0 = x.copy()
-    m = normals.shape[0]
-    corr = np.zeros((m, x.shape[0]))
-    scale = 1.0 + float(np.linalg.norm(x0))
-    feas_tol = tol * 1e-2
-    move_tol = tol * 1e-3 * scale
-    comp_tol = tol * 1e-2 * scale**2
-    prev = x.copy()
-    for _ in range(max_iter):
-        for i in range(m):
-            y = x + corr[i]
-            v = normals[i] @ y - offsets[i]
-            if v > 0.0:
-                x = y - v * normals[i]
-                corr[i] = y - x
-            else:
-                x = y
-                corr[i] = 0.0
-        slack = normals @ x - offsets
-        if (
-            np.max(slack) <= feas_tol
-            and np.linalg.norm(x - prev) <= move_tol
-        ):
-            # corr[i] = mu_i * n_i with mu_i >= 0, and x0 - x = sum corr,
-            # so complementarity is the one optimality condition left open
-            mu = np.einsum("ij,ij->i", corr, normals)
-            if float(np.max(mu * np.maximum(-slack, 0.0), initial=0.0)) <= comp_tol:
-                active = np.nonzero(slack >= -1e-7 * scale)[0]
-                z = _polish_active_set(normals, offsets, x0, active, feas_tol)
-                return z if z is not None else x
-        prev = x.copy()
-    raise NonConvergence(
-        f"Dykstra projection did not reach tolerance {tol} in {max_iter} cycles"
-    )
+            x = x + d
+        # x minimizes the distance on the working facets' span
+        mu = np.linalg.solve(q.T @ normals[work].T, q.T @ (x0 - x))
+        if np.min(mu, initial=0.0) >= 0.0:
+            return x
+        work.pop(int(np.argmin(mu)))
+        q = np.linalg.qr(normals[work].T)[0]
+        res = normals - (normals @ q) @ q.T
+    raise NonConvergence(f"active-set projection took over {_ACTIVE_SET_MAX_STEPS} steps")
 
 
 class ConvexSet:
@@ -420,9 +403,9 @@ class HPolytope(ConvexSet):
     def dim(self):
         return self.normals.shape[1]
 
-    def project(self, point, tol=PROJ_TOL, max_iter=PROJ_MAX_ITER):
+    def project(self, point):
         p = as_vector(point, self.dim, "point")
-        return _dykstra_halfspaces(self._unit_normals, self._unit_offsets, p, tol, max_iter)
+        return _project_polyhedron(self._unit_normals, self._unit_offsets, p, self._vertices[0])
 
     def distance(self, point):
         p = as_vector(point, self.dim, "point")
@@ -559,29 +542,12 @@ class PolyhedralCone(ConvexSet):
     def dim(self):
         return self.generators.shape[0]
 
-    def project(self, point, tol=PROJ_TOL, max_iter=PROJ_MAX_ITER):
+    def project(self, point):
         p = as_vector(point, self.dim, "point")
-        if self._hs_normals.shape[0] == 0:
-            return p.copy()
-        return _dykstra_halfspaces(self._hs_normals, self._hs_offsets, p, tol, max_iter)
+        return _project_polyhedron(self._hs_normals, self._hs_offsets, p, np.zeros(self.dim))
 
     def to_dict(self):
         return {"type": "cone", "generators": self.generators.tolist()}
-
-
-def project(s, point):
-    """Euclidean projection of ``point`` onto ``s``."""
-    return s.project(point)
-
-
-def contains(s, point, tol=CONTAINS_TOL):
-    """Membership up to Euclidean distance ``tol``."""
-    return s.contains(point, tol)
-
-
-def vertices(s):
-    """Vertex array for variants that enumerate them."""
-    return s.vertices()
 
 
 def segment_distance(p, x, y):

@@ -452,8 +452,8 @@ def certify(
         fx = np.asarray(f(x), dtype=float)
         try:
             y_probe = select_preimage(g, problem.K, fx, problem.inversion)
-            probes = default_gap_probes(problem.K) + [y_probe]
-            residuals["gap"] = gvi_gap(problem, x, probes=probes)
+            # rep.gap_certificate already minimizes over the default probes
+            residuals["gap"] = min(residuals["gap"], gvi_gap(problem, x, probes=[y_probe]))
         except InversionFailed:
             pass
         residual = float(np.linalg.norm(fx - np.asarray(g(x), dtype=float)))

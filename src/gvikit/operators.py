@@ -298,12 +298,6 @@ def operator_from_dict(d):
     raise UnsupportedVariant(f"unknown operator tag {tag!r}")
 
 
-def evaluate(op, x):
-    """Evaluate ``op`` at a single validated vector."""
-    v = as_vector(x, getattr(op, "in_dim", None), "x")
-    return np.asarray(op(v), dtype=float)
-
-
 def jacobian_fd(op, x, h=FD_STEP):
     """Central finite-difference Jacobian of ``op`` at ``x``."""
     v = as_vector(x, getattr(op, "in_dim", None), "x")

@@ -111,61 +111,35 @@ def _resolve_step(F, C, params):
     return 0.9 / (1.2 * est), True
 
 
-def solve_projection(F, C, params=None, x0=None, record_history=False, record_iterates=False):
-    """Fixed-point iteration of the natural map.
+def _backtrack(F, C, x, fx, y, fy, step, params):
+    """Shrink the step until ``step * |F(x) - F(y)| <= 0.9 |x - y|``.
 
-    Reliable for strongly monotone Lipschitz operators with a small enough
-    step; merely monotone problems (for example rotation fields) make the
-    iteration circle without converging, which the report states honestly.
+    ``y`` is the projected step from ``x`` and ``fy = F(y)``; at most
+    ``params.trial_cap`` shrinks are tried.  Returns the accepted
+    ``(y, fy, residual, step)``.
     """
-    params = params if params is not None else SolverParams()
-    x = C.project(np.zeros(C.dim) if x0 is None else as_vector(x0, C.dim, "x0"))
-    step, backtrack = _resolve_step(F, C, params)
-    history = [] if record_history else None
-    iterates = [x.copy()] if record_iterates else None
-    iterations = 0
-    while True:
-        fx = np.asarray(F(x), dtype=float)
-        x_next = C.project(x - step * fx)
-        residual = float(np.linalg.norm(x - x_next))
-        if record_history:
-            history.append(residual)
-        if backtrack:
-            trials = 0
-            fn = np.asarray(F(x_next), dtype=float)
-            while (
-                step * float(np.linalg.norm(fx - fn)) > _NU * residual
-                and residual > 0
-                and trials < params.trial_cap
-            ):
-                step *= params.beta
-                x_next = C.project(x - step * fx)
-                residual = float(np.linalg.norm(x - x_next))
-                fn = np.asarray(F(x_next), dtype=float)
-                trials += 1
-        if residual <= params.residual_tol or iterations >= params.max_iter:
-            return SolveReport(
-                solution=x,
-                residual=natural_residual(F, C, x, step),
-                iterations=iterations,
-                converged=residual <= params.residual_tol,
-                step_used=step,
-                history=history,
-                iterates=iterates,
-            )
-        x = x_next
-        iterations += 1
-        if record_iterates:
-            iterates.append(x.copy())
+    residual = float(np.linalg.norm(x - y))
+    trials = 0
+    while (
+        step * float(np.linalg.norm(fx - fy)) > _NU * residual
+        and residual > 0
+        and trials < params.trial_cap
+    ):
+        step *= params.beta
+        y = C.project(x - step * fx)
+        residual = float(np.linalg.norm(x - y))
+        fy = np.asarray(F(y), dtype=float)
+        trials += 1
+    return y, fy, residual, step
 
 
-def solve_extragradient(F, C, params=None, x0=None, record_history=False, record_iterates=False):
-    """Extragradient iteration: predictor step, then corrected update.
+def _iterate(F, C, params, x0, record_history, record_iterates, extragradient):
+    """The loop both solvers share.
 
-    Converges for monotone Lipschitz F once ``step * L < 1``.  With
-    ``step_rule='backtracking'`` the step shrinks until the sampled
-    Lipschitz condition ``step * |F(x) - F(y)| <= 0.9 |x - y|`` holds, so
-    no a priori constant is needed.
+    Each iteration projects a step along ``F(x)`` to get ``y`` and stops
+    on ``|x - y|``.  The projection method moves to ``y``, backtracking
+    before the stop test; extragradient backtracks after it and moves to
+    the corrected point ``P_C(x - step * F(y))``.
     """
     params = params if params is not None else SolverParams()
     x = C.project(np.zeros(C.dim) if x0 is None else as_vector(x0, C.dim, "x0"))
@@ -179,6 +153,10 @@ def solve_extragradient(F, C, params=None, x0=None, record_history=False, record
         residual = float(np.linalg.norm(x - y))
         if record_history:
             history.append(residual)
+        if backtrack and not extragradient:
+            y, _, residual, step = _backtrack(
+                F, C, x, fx, y, np.asarray(F(y), dtype=float), step, params
+            )
         if residual <= params.residual_tol or iterations >= params.max_iter:
             return SolveReport(
                 solution=x,
@@ -189,20 +167,33 @@ def solve_extragradient(F, C, params=None, x0=None, record_history=False, record
                 history=history,
                 iterates=iterates,
             )
-        fy = np.asarray(F(y), dtype=float)
-        if backtrack:
-            trials = 0
-            while (
-                step * float(np.linalg.norm(fx - fy)) > _NU * residual
-                and residual > 0
-                and trials < params.trial_cap
-            ):
-                step *= params.beta
-                y = C.project(x - step * fx)
-                residual = float(np.linalg.norm(x - y))
-                fy = np.asarray(F(y), dtype=float)
-                trials += 1
-        x = C.project(x - step * fy)
+        if extragradient:
+            fy = np.asarray(F(y), dtype=float)
+            if backtrack:
+                y, fy, residual, step = _backtrack(F, C, x, fx, y, fy, step, params)
+            y = C.project(x - step * fy)
+        x = y
         iterations += 1
         if record_iterates:
             iterates.append(x.copy())
+
+
+def solve_projection(F, C, params=None, x0=None, record_history=False, record_iterates=False):
+    """Fixed-point iteration of the natural map.
+
+    Reliable for strongly monotone Lipschitz operators with a small enough
+    step; merely monotone problems (for example rotation fields) make the
+    iteration circle without converging, which the report states honestly.
+    """
+    return _iterate(F, C, params, x0, record_history, record_iterates, extragradient=False)
+
+
+def solve_extragradient(F, C, params=None, x0=None, record_history=False, record_iterates=False):
+    """Extragradient iteration: predictor step, then corrected update.
+
+    Converges for monotone Lipschitz F once ``step * L < 1``.  With
+    ``step_rule='backtracking'`` the step shrinks until the sampled
+    Lipschitz condition ``step * |F(x) - F(y)| <= 0.9 |x - y|`` holds, so
+    no a priori constant is needed.
+    """
+    return _iterate(F, C, params, x0, record_history, record_iterates, extragradient=True)

@@ -20,7 +20,6 @@ from gvikit import (
     Scale,
     Sum,
     UnsupportedVariant,
-    evaluate,
     jacobian_fd,
     operator_from_dict,
 )
@@ -28,27 +27,27 @@ from gvikit import (
 
 class TestEvaluation:
     def test_identity(self):
-        np.testing.assert_allclose(evaluate(Identity(2), [3.0, -1.0]), [3.0, -1.0])
+        np.testing.assert_allclose(Identity(2)([3.0, -1.0]), [3.0, -1.0])
 
     def test_constant_ignores_input(self):
         c = Constant([0.25, 0.75], in_dim=3)
-        np.testing.assert_allclose(evaluate(c, [9.0, 9.0, 9.0]), [0.25, 0.75])
+        np.testing.assert_allclose(c([9.0, 9.0, 9.0]), [0.25, 0.75])
         assert c.in_dim == 3 and c.out_dim == 2
 
     def test_affine(self):
         op = Affine([[2.0, 1.0], [1.0, 2.0]], [-1.0, -1.0])
-        np.testing.assert_allclose(evaluate(op, [1.0, 0.0]), [1.0, 0.0])
-        np.testing.assert_allclose(evaluate(op, [1 / 3, 1 / 3]), [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(op([1.0, 0.0]), [1.0, 0.0])
+        np.testing.assert_allclose(op([1 / 3, 1 / 3]), [0.0, 0.0], atol=1e-15)
 
     def test_rotation_quarter_turn(self):
         rot = Rotation(math.pi / 2)
-        np.testing.assert_allclose(evaluate(rot, [1.0, 0.0]), [0.0, 1.0], atol=1e-15)
-        np.testing.assert_allclose(evaluate(rot, [0.0, 1.0]), [-1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(rot([1.0, 0.0]), [0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(rot([0.0, 1.0]), [-1.0, 0.0], atol=1e-15)
 
     def test_rotation_in_higher_dimension(self):
         rot = Rotation(math.pi, plane=(0, 2), dim=3)
         np.testing.assert_allclose(
-            evaluate(rot, [1.0, 5.0, 0.0]), [-1.0, 5.0, 0.0], atol=1e-15
+            rot([1.0, 5.0, 0.0]), [-1.0, 5.0, 0.0], atol=1e-15
         )
 
     def test_pointwise_kinds(self):
@@ -66,11 +65,11 @@ class TestEvaluation:
     def test_scale_sum_difference_compose(self):
         f = Affine([[1.0]], [0.5])
         g = Affine([[2.0]], [0.0])
-        np.testing.assert_allclose(evaluate(Difference(g, f), [0.5]), [0.0])
-        np.testing.assert_allclose(evaluate(Sum(f, g), [1.0]), [3.5])
-        np.testing.assert_allclose(evaluate(Scale(-2.0, g), [1.5]), [-6.0])
+        np.testing.assert_allclose(Difference(g, f)([0.5]), [0.0])
+        np.testing.assert_allclose(Sum(f, g)([1.0]), [3.5])
+        np.testing.assert_allclose(Scale(-2.0, g)([1.5]), [-6.0])
         comp = Compose(PointwiseNonlinear("square", 1), g)
-        np.testing.assert_allclose(evaluate(comp, [1.5]), [9.0])
+        np.testing.assert_allclose(comp([1.5]), [9.0])
 
     def test_batch_shapes(self):
         op = Affine([[1.0, 2.0]], [0.0])
@@ -80,10 +79,11 @@ class TestEvaluation:
         assert rot(np.ones((5, 2))).shape == (5, 2)
 
     def test_validation(self):
+        # jacobian_fd is the single-vector entry point that validates input
         with pytest.raises(DimensionMismatch):
-            evaluate(Identity(2), [1.0])
+            jacobian_fd(Identity(2), [1.0])
         with pytest.raises(ValueError):
-            evaluate(Identity(1), [np.inf])
+            jacobian_fd(Identity(1), [np.inf])
         with pytest.raises(DimensionMismatch):
             Sum(Identity(2), Identity(3))
         with pytest.raises(DimensionMismatch):

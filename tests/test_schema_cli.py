@@ -2,6 +2,10 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +205,22 @@ class TestCli:
         names = [d["name"] for d in listing["demos"]]
         assert "box-projection" in names and "non-ql" in names
         assert len(names) == len(DEMOS)
+
+    def test_closed_stdout_exits_quietly(self):
+        # the reader is gone before the child writes, as with `| head -n 1`
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gvikit", "list-demos"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
     def test_solve_gvi_from_file(self, capsys, tmp_path):
         path = _write(tmp_path, _gvi_file_data())
