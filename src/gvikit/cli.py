@@ -9,6 +9,7 @@ and refuted hypotheses, 2 for schema violations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -337,7 +338,9 @@ def _summary_line(report):
     return f"gvikit: {report['kind']} -> {status} ({', '.join(parts)})"
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built once; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gvikit",
         description="Solve and certify variational inequalities with composed maps, "

@@ -31,6 +31,8 @@ PROJ_TOL = 1e-10
 VERTEX_ENUM_MAX_DIM = 6
 VERTEX_DEDUP_TOL = 1e-9
 CONTAINS_TOL = 1e-9
+# a square matrix inverts in closed form only below this condition number
+INVERSE_COND_LIMIT = 1e8
 
 # Active-set projection: a step shorter than _ZERO_STEP (relative to the
 # point and its distance from the start) is zero, and a unit normal within
@@ -56,6 +58,14 @@ def as_vector(x, dim=None, name="vector"):
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} has non-finite entries")
     return v
+
+
+def stable_inverse(matrix):
+    """The inverse of a square matrix below ``INVERSE_COND_LIMIT``, else None."""
+    m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if m.shape[0] != m.shape[1] or not np.linalg.cond(m) < INVERSE_COND_LIMIT:
+        return None
+    return np.linalg.inv(m)
 
 
 def _readonly(a):
@@ -633,10 +643,12 @@ def _hull_halfspaces(points):
 def affine_image_polytope(s, matrix, shift=None):
     """Halfspace description of ``{matrix @ v + shift : v in s}``.
 
-    Requires a vertex-enumerable ``s``; the image is the convex hull of
-    the mapped vertices.
+    A Box or HPolytope ``{v : N v <= b}`` under a matrix M with a
+    ``stable_inverse`` maps onto ``{u : N M^-1 u <= b + N M^-1 shift}``.
+    Otherwise ``s`` must enumerate its vertices, and the image is the
+    convex hull of the mapped vertices; that path also covers singular
+    and non-square maps, whose images are lower-dimensional.
     """
-    vs = s.vertices()
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     if m.shape[1] != s.dim:
         raise DimensionMismatch(f"matrix has {m.shape[1]} columns, set has dim {s.dim}")
@@ -645,9 +657,16 @@ def affine_image_polytope(s, matrix, shift=None):
         raise DimensionTooLarge(
             f"image dimension {m.shape[0]} exceeds {VERTEX_ENUM_MAX_DIM}"
         )
-    imgs = np.asarray(vs) @ m.T + c
-    rows, offsets = _hull_halfspaces(imgs)
-    return HPolytope(rows, offsets)
+    inv = stable_inverse(m) if isinstance(s, (Box, HPolytope)) else None
+    if inv is None:
+        return HPolytope(*_hull_halfspaces(np.asarray(s.vertices()) @ m.T + c))
+    if isinstance(s, Box):
+        eye = np.eye(s.dim)
+        normals, offsets = np.vstack([eye, -eye]), np.concatenate([s.upper, -s.lower])
+    else:
+        normals, offsets = s.normals, s.offsets
+    mapped = normals @ inv
+    return HPolytope(mapped, offsets + mapped @ c)
 
 
 def set_from_dict(d):

@@ -3,10 +3,12 @@
 The problem: find x in K with ``<A(x), a(y) - a(x)> >= 0`` for all y in K.
 Writing u = a(x) turns this into a Stampacchia inequality for the reduced
 operator ``A o b`` on ``a(K)``, where b picks one preimage per image
-point.  This module supplies the preimage selection (the closed-form
-inverse for identity and nonsingular affine maps, otherwise projected
-Gauss-Newton with deterministic multistart), the cached reduced operator,
-the end-to-end solver, and ``certify``: the gap, pullback, coincidence
+point.  When ``a`` is the identity or a nonsingular affine map, b is its
+closed-form inverse and the reduced operator is the expression
+``A o a^{-1}``, evaluated with no preimage search.  For other maps this
+module supplies the preimage selection (projected Gauss-Newton with
+deterministic multistart) behind a per-solve fiber cache.  It also holds
+the end-to-end solver and ``certify``: the gap, pullback, coincidence
 and complementarity residuals of a solve and the one rule that certifies
 it for every problem kind.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -27,7 +30,7 @@ from .errors import (
     UnsupportedVariant,
 )
 from .geometry import ConvexSet, PolyhedralCone, as_vector
-from .operators import Identity, OperatorExpr, PropertyReport, jacobian_fd
+from .operators import Compose, Identity, OperatorExpr, PropertyReport, jacobian_fd
 from .vi import SolveReport, SolverParams, solve_extragradient
 
 GAP_TOL = 1e-6
@@ -189,12 +192,15 @@ def preimage_candidates(a, K, u, inv=None, dedup_tol=1e-6):
 
 
 class ReducedOperator:
-    """``u -> A(b(u))`` with a per-instance fiber cache.
+    """``u -> A(b(u))``, in closed form when ``a`` has a closed-form inverse.
 
-    Representatives are cached per exact image point, and an inversion
-    without a closed form warm-starts from the most recent representative
-    so the selection does not hop between fibers while a solver walks the
-    image set.  Instances are meant to live for a single solve.
+    An identity or nonsingular affine ``a`` makes the operator
+    ``Compose(A, a.inverse())``, evaluated without any preimage search.
+    Other maps select b(u) numerically: representatives are cached per
+    exact image point, and a search warm-starts from the most recent
+    representative so the selection does not hop between fibers while a
+    solver walks the image set.  ``representative`` always takes the
+    search path.  Instances are meant to live for a single solve.
     """
 
     def __init__(self, A, a, K, inversion=None):
@@ -206,14 +212,22 @@ class ReducedOperator:
         self.inversion = inversion if inversion is not None else InversionParams()
         self.in_dim = a.out_dim
         self.out_dim = A.out_dim
+        inverse = a.inverse()
+        self._closed_form = None if inverse is None else Compose(A, inverse)
         self._cache = {}
         self._last = None
-        rng = np.random.default_rng(_MULTISTART_SEED)
-        n_extra = max(self.inversion.multistart - 1, 0)
-        self._starts = list(np.atleast_2d(K.sample(rng, n_extra))) if n_extra else []
 
     def lipschitz_bound(self):
         return None
+
+    @cached_property
+    def _starts(self):
+        """The fixed-seed sample of K that every search tries last."""
+        n_extra = max(self.inversion.multistart - 1, 0)
+        if not n_extra:
+            return []
+        rng = np.random.default_rng(_MULTISTART_SEED)
+        return list(np.atleast_2d(self.K.sample(rng, n_extra)))
 
     def representative(self, u):
         """The cached or freshly inverted preimage of ``u``."""
@@ -233,6 +247,8 @@ class ReducedOperator:
         return x
 
     def __call__(self, u):
+        if self._closed_form is not None:
+            return np.asarray(self._closed_form(u), dtype=float)
         return np.asarray(self.A(self.representative(u)), dtype=float)
 
 
@@ -275,11 +291,14 @@ def _image_miss(a, K, image, seed, samples=_IMAGE_CHECK_SAMPLES):
         pts = np.atleast_2d(K.sample(np.random.default_rng(seed), samples))
     except (UnsupportedVariant, NonConvergence):
         return 0.0, None
+    imgs = np.asarray(a(pts), dtype=float)
     worst, witness = 0.0, None
-    for x in pts:
-        d = image.distance(np.asarray(a(x), dtype=float))
+    # the batch distance may only bound the true one from below off the
+    # set, so the rows it puts outside are scored exactly
+    for i in np.flatnonzero(image._distance_batch(imgs) > 0.0):
+        d = image.distance(imgs[i])
         if d > worst:
-            worst, witness = d, x
+            worst, witness = d, pts[i]
     return worst, witness
 
 
@@ -300,12 +319,26 @@ def gvi_gap(problem, x, probes=None):
     x = as_vector(x, problem.K.dim, "x")
     if probes is None:
         probes = default_gap_probes(problem.K)
-    probes = [as_vector(p, problem.K.dim, "probe") for p in probes] + [x]
-    pmat = np.array(probes)
+    pmat = np.vstack([_probe_matrix(probes, problem.K.dim), x])
     ax = np.asarray(problem.a(x), dtype=float)
     gx = np.asarray(problem.A(x), dtype=float)
     vals = (np.asarray(problem.a(pmat), dtype=float) - ax) @ gx
     return float(np.min(vals))
+
+
+def _probe_matrix(probes, dim):
+    """The probes as the rows of a finite ``(n, dim)`` matrix."""
+    try:
+        pmat = np.array(probes, dtype=float)
+    except ValueError as err:  # rows of different lengths
+        raise DimensionMismatch(f"probes must all have dimension {dim}") from err
+    if pmat.size == 0 or (pmat.ndim == 1 and dim == 1):
+        pmat = pmat.reshape(-1, dim)
+    if pmat.ndim != 2 or pmat.shape[1] != dim:
+        raise DimensionMismatch(f"probes must be points of dimension {dim}, got {pmat.shape}")
+    if not np.all(np.isfinite(pmat)):
+        raise ValueError("probe has non-finite entries")
+    return pmat
 
 
 def default_gap_probes(K, n_samples=_PROBE_SAMPLES, seed=_PROBE_SEED):
@@ -326,9 +359,10 @@ def solve_gvi(problem, x0=None, record_history=False):
     """Reduce to the image set, solve there, and pull the solution back.
 
     The reduced inequality is solved with the extragradient method; the
-    reported solution is the cached fiber representative of the reduced
-    solution, so ``a(x) = u`` holds up to the inversion tolerance, and the
-    gap certificate is evaluated on the original problem.
+    reported solution is the preimage of the reduced solution that
+    ``ReducedOperator.representative`` selects (the projected closed-form
+    inverse when ``a`` has one), so ``a(x) = u`` holds up to the inversion
+    tolerance, and the gap certificate is evaluated on the original problem.
     """
     reduced = ReducedOperator(problem.A, problem.a, problem.K, problem.inversion)
     rep = solve_extragradient(

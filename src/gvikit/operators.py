@@ -21,11 +21,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, InversionFailed, UnsupportedVariant
-from .geometry import as_vector, segment_distance
+from .geometry import as_vector, segment_distance, stable_inverse
 
 FD_STEP = 1e-6
-# an affine map inverts in closed form only below this condition number
-INVERSE_COND_LIMIT = 1e8
 FIBER_MATCH_TOL = 1e-7
 PSD_TOL = 1e-9
 
@@ -47,9 +45,14 @@ class OperatorExpr:
         """Exact global Lipschitz constant when one is derivable, else None."""
         return None
 
+    def inverse(self):
+        """The inverse map as an expression when it has a closed form, else None."""
+        return None
+
     def preimage(self, u):
         """The unique preimage of ``u`` in closed form, or None if there is none to give."""
-        return None
+        inverse = self.inverse()
+        return None if inverse is None else inverse(u)
 
     def to_dict(self):
         raise NotImplementedError
@@ -67,8 +70,8 @@ class Identity(OperatorExpr):
     def lipschitz_bound(self):
         return 1.0
 
-    def preimage(self, u):
-        return np.asarray(u, dtype=float)
+    def inverse(self):
+        return self
 
     def to_dict(self):
         return {"op": "identity", "dim": self.in_dim}
@@ -115,15 +118,12 @@ class Affine(OperatorExpr):
 
     @cached_property
     def _inverse(self):
-        m = self.matrix
-        if m.shape[0] != m.shape[1] or not np.linalg.cond(m) < INVERSE_COND_LIMIT:
-            return None
-        return np.linalg.inv(m)
+        m = stable_inverse(self.matrix)
+        return None if m is None else Affine(m, -m @ self.shift)
 
-    def preimage(self, u):
-        if self._inverse is None:
-            return None
-        return self._inverse @ (np.asarray(u, dtype=float) - self.shift)
+    def inverse(self):
+        """``u |-> M^-1 (u - shift)`` when M passes ``stable_inverse``, else None."""
+        return self._inverse
 
     def to_dict(self):
         return {"op": "affine", "matrix": self.matrix.tolist(), "shift": self.shift.tolist()}

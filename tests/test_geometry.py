@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_cone, random_hpolytope
+from conftest import random_box, random_cone, random_hpolytope
 from test_acceptance import _random_cone, _random_hpolytope
+from gvikit import geometry as geometry_module
 from gvikit import (
     Ball,
     Box,
@@ -370,6 +371,68 @@ class TestAffineImage:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             affine_image_polytope(Box([0.0], [1.0]), [[1.0, 0.0]])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_closed_form_matches_the_hull(self, dim, monkeypatch):
+        # a nonsingular map sends {N v <= b} onto {N M^-1 (u - c) <= b}
+        # without enumerating a single hull facet
+        hull = geometry_module._hull_halfspaces
+
+        def refuse(points):
+            raise AssertionError("hull enumeration for a nonsingular map")
+
+        monkeypatch.setattr(geometry_module, "_hull_halfspaces", refuse)
+        rng = np.random.default_rng(600 + dim)
+        for case in range(8):
+            K = random_box(rng, dim) if case % 2 == 0 else _cut_box(rng, dim)
+            m = _nonsingular(rng, dim)
+            c = rng.normal(size=dim)
+            image = affine_image_polytope(K, m, c)
+            reference = HPolytope(*hull(K.vertices() @ m.T + c))
+            _assert_same_points(image.vertices(), reference.vertices(), 1e-9)
+
+    def test_singular_map_keeps_the_hull(self, monkeypatch):
+        calls = []
+        hull = geometry_module._hull_halfspaces
+
+        def counted(points):
+            calls.append(points)
+            return hull(points)
+
+        monkeypatch.setattr(geometry_module, "_hull_halfspaces", counted)
+        square = Box([0.0, 0.0], [1.0, 1.0])
+        affine_image_polytope(square, [[1.0, 1.0], [2.0, 2.0]])
+        affine_image_polytope(Simplex(2), np.eye(2))
+        affine_image_polytope(square, np.eye(2))
+        assert len(calls) == 2
+
+
+def _cut_box(rng, dim):
+    """A random box cut by one random halfspace that keeps its center."""
+    box = random_box(rng, dim)
+    n = rng.normal(size=dim)
+    center = 0.5 * (box.lower + box.upper)
+    reach = 0.5 * np.abs(n) @ (box.upper - box.lower)
+    eye = np.eye(dim)
+    return HPolytope(
+        np.vstack([eye, -eye, n]),
+        np.concatenate([box.upper, -box.lower, [n @ center + rng.uniform(0.0, 0.8) * reach]]),
+    )
+
+
+def _nonsingular(rng, dim):
+    while True:
+        m = rng.normal(size=(dim, dim))
+        if np.linalg.cond(m) < 1e3:
+            return m
+
+
+def _assert_same_points(got, expected, tol):
+    assert len(got) == len(expected)
+    for p in got:
+        assert np.min(np.linalg.norm(expected - p, axis=1)) <= tol
+    for p in expected:
+        assert np.min(np.linalg.norm(got - p, axis=1)) <= tol
 
 
 class TestSerialization:

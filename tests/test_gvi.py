@@ -7,7 +7,7 @@ import pytest
 
 from gvikit import gvi as gvi_module
 from gvikit.errors import DimensionMismatch, InversionFailed
-from gvikit.geometry import Box, PolyhedralCone, Simplex
+from gvikit.geometry import Ball, Box, HPolytope, PolyhedralCone, Simplex, affine_image_polytope
 from gvikit.gvi import (
     GviProblem,
     ImageConsistencyWarning,
@@ -212,6 +212,82 @@ class TestGviGap:
         x = np.array([0.1])
         assert gvi_gap(problem, x, probes=[x]) == 0.0
 
+    def test_probe_errors(self):
+        problem = _square_problem()
+        x = np.array([0.1])
+        with pytest.raises(DimensionMismatch):
+            gvi_gap(problem, x, probes=[np.array([0.2, 0.3])])
+        with pytest.raises(DimensionMismatch):
+            gvi_gap(problem, x, probes=[np.array([0.2]), np.array([0.2, 0.3])])
+        with pytest.raises(ValueError):
+            gvi_gap(problem, x, probes=[np.array([0.2]), np.array([np.nan])])
+        with pytest.raises(ValueError):
+            gvi_gap(problem, x, probes=[np.array([np.inf])])
+
+    def test_scalar_and_empty_probes(self):
+        problem = _square_problem()
+        x = np.array([0.1])
+        assert gvi_gap(problem, x, probes=[]) == 0.0
+        assert gvi_gap(problem, x, probes=[0.5, -0.2]) == gvi_gap(
+            problem, x, probes=[np.array([0.5]), np.array([-0.2])]
+        )
+
+
+def _image_miss_by_loop(a, K, image, seed):
+    rng = np.random.default_rng(seed)
+    pts = np.atleast_2d(K.sample(rng, gvi_module._IMAGE_CHECK_SAMPLES))
+    worst, witness = 0.0, None
+    for x in pts:
+        d = image.distance(np.asarray(a(x), dtype=float))
+        if d > worst:
+            worst, witness = d, x
+    return worst, witness
+
+
+class TestImageMiss:
+    SHEAR = Affine(np.array([[1.0, 0.5], [-0.25, 1.0]]), np.array([0.1, -0.2]))
+    K = Box(-np.ones(2), np.ones(2))
+
+    @staticmethod
+    def _shrunk(margin):
+        a = TestImageMiss.SHEAR
+        exact = affine_image_polytope(TestImageMiss.K, a.matrix, a.shift)
+        widths = np.linalg.norm(exact.normals, axis=1)
+        return HPolytope(exact.normals, exact.offsets - margin * widths)
+
+    @pytest.mark.parametrize(
+        "image",
+        [
+            Box(-np.ones(2), np.ones(2)),
+            Ball(np.zeros(2), 1.2),
+            Simplex(2),
+            Box(-2.0 * np.ones(2), 2.0 * np.ones(2)),
+        ],
+    )
+    def test_matches_the_loop(self, image):
+        for seed in (1, 2, 3):
+            worst, witness = gvi_module._image_miss(self.SHEAR, self.K, image, seed)
+            ref_worst, ref_witness = _image_miss_by_loop(self.SHEAR, self.K, image, seed)
+            assert worst == pytest.approx(ref_worst, rel=1e-12, abs=1e-15)
+            if ref_witness is None:
+                assert witness is None
+            else:
+                np.testing.assert_array_equal(witness, ref_witness)
+
+    @pytest.mark.parametrize("margin", [1e-2, 1e-9, 1e-12])
+    def test_polytope_just_outside(self, margin):
+        # K is the top face of the square, so every mapped sample lies on a
+        # facet of a(square) and just outside the shrunk image; the small
+        # margins fall in the band where the batch distance is refined
+        face = Box(np.array([-1.0, 1.0]), np.ones(2))
+        image = self._shrunk(margin)
+        for seed in (4, 5):
+            worst, witness = gvi_module._image_miss(self.SHEAR, face, image, seed)
+            ref_worst, ref_witness = _image_miss_by_loop(self.SHEAR, face, image, seed)
+            assert 0.5 * margin < ref_worst < 10 * margin
+            assert worst == pytest.approx(ref_worst, rel=1e-9, abs=1e-15)
+            np.testing.assert_array_equal(witness, ref_witness)
+
 
 class TestComplementarity:
     ORTHANT = PolyhedralCone(np.eye(2))
@@ -377,6 +453,71 @@ class TestClosedFormInversion:
         reduced.representative(np.array([1.2e10]))
         x = reduced.representative(np.array([2.5e10]))
         np.testing.assert_array_equal(x, [2.5e10])
+
+
+def _skew_operator():
+    """``I + 0.5 (superdiagonal - subdiagonal)`` shifted: strongly monotone, zero inside K."""
+    m = np.eye(3) + 0.5 * (np.eye(3, k=1) - np.eye(3, k=-1))
+    return Affine(m, np.array([0.2, -0.3, 0.1]))
+
+
+class TestClosedFormReduction:
+    """Identity and nonsingular affine ``a`` reduce to ``A o a^{-1}`` without inversion."""
+
+    K = Box(-np.ones(3), np.ones(3))
+    SHEAR = Affine(
+        np.array([[2.0, 0.5, 0.0], [0.0, 1.5, -0.5], [0.25, 0.0, 1.0]]), np.array([0.1, -0.2, 0.3])
+    )
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"select_preimage": 0, "jacobian_fd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(gvi_module, name, counted(name, getattr(gvi_module, name)))
+        return calls
+
+    @pytest.mark.parametrize("a", [Identity(3), SHEAR], ids=["identity", "affine"])
+    def test_one_inversion_for_the_pullback(self, a, counts):
+        if isinstance(a, Identity):
+            image = self.K
+        else:
+            image = affine_image_polytope(self.K, a.matrix, a.shift)
+        rep = solve_gvi(GviProblem(A=_skew_operator(), a=a, K=self.K, image_aK=image))
+        assert rep.converged
+        assert rep.gap_certificate >= -1e-6
+        assert counts == {"select_preimage": 1, "jacobian_fd": 0}
+
+    def test_cube_keeps_gauss_newton(self, counts):
+        a = PointwiseNonlinear("cube", 3)
+        problem = GviProblem(
+            A=_skew_operator(), a=a, K=self.K, image_aK=self.K, params=SolverParams(max_iter=3)
+        )
+        solve_gvi(problem)
+        assert counts["select_preimage"] > 1
+        assert counts["jacobian_fd"] > 0
+
+    @pytest.mark.parametrize(
+        "a, half_width",
+        [(Identity(3), 2.0), (Affine(2.0 * np.eye(3)), 3.0)],
+        ids=["identity", "double"],
+    )
+    def test_declared_image_larger_than_aK(self, a, half_width):
+        # the solver walks points of the declared image outside a(K), which
+        # have no preimage in K but a closed-form value of A o a^{-1}
+        image = Box(-half_width * np.ones(3), half_width * np.ones(3))
+        rep = solve_gvi(GviProblem(A=_skew_operator(), a=a, K=self.K, image_aK=image))
+        assert rep.converged
+        np.testing.assert_allclose(rep.solution, [-0.283333, 0.166667, -0.016667], atol=1e-6)
+        assert rep.pullback_residual == pytest.approx(0.0, abs=1e-12)
+        assert rep.gap_certificate >= -1e-6
 
 
 class _KeyErrorSampling(Box):
