@@ -561,20 +561,35 @@ class PolyhedralCone(ConvexSet):
 
 
 def segment_distance(p, x, y):
-    """Distance from ``p`` to the closed segment ``[x, y]``.
+    """Distance from ``p`` to the closed segment ``[x, y]``, row by row for stacks.
 
-    The projection coefficient is clamped to ``[0, 1]``, so degenerate
-    segments fall back to the point distance.
+    ``p``, ``x`` and ``y`` are points of one shape, or stacks of points
+    with one segment per row.  The projection coefficient is clamped to
+    ``[0, 1]``, so degenerate segments fall back to the point distance.
     """
-    p = as_vector(p, name="p")
-    x = as_vector(x, dim=p.shape[0], name="x")
-    y = as_vector(y, dim=p.shape[0], name="y")
+    p, x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (p, x, y))
+    if p.ndim > 2 or x.shape != p.shape or y.shape != p.shape:
+        raise DimensionMismatch(f"p, x and y differ in shape: {p.shape}, {x.shape}, {y.shape}")
+    if not all(np.all(np.isfinite(v)) for v in (p, x, y)):
+        raise ValueError("segment_distance got non-finite entries")
     d = y - x
-    den = float(d @ d)
-    if den == 0.0:
-        return float(np.linalg.norm(p - x))
-    t = min(1.0, max(0.0, float((p - x) @ d) / den))
-    return float(np.linalg.norm(p - (x + t * d)))
+    den = np.einsum("...i,...i->...", d, d)
+    num = np.einsum("...i,...i->...", p - x, d)
+    t = np.clip(np.divide(num, den, out=np.zeros_like(num), where=den > 0.0), 0.0, 1.0)
+    dist = np.linalg.norm(p - (x + t[..., None] * d), axis=-1)
+    return float(dist) if p.ndim == 1 else dist
+
+
+def _exact_distances(s, pts):
+    """Distances of the rows of ``pts`` from the set ``s``.
+
+    Off the set the batch distance may only bound the true one from
+    below, so the rows it puts outside are scored again with ``distance``.
+    """
+    d = s._distance_batch(pts)
+    for i in np.flatnonzero(d > 0.0):
+        d[i] = s.distance(pts[i])
+    return d
 
 
 def _hull_halfspaces(points):

@@ -29,8 +29,8 @@ from .errors import (
     NonConvergence,
     UnsupportedVariant,
 )
-from .geometry import ConvexSet, PolyhedralCone, as_vector
-from .operators import Compose, Identity, OperatorExpr, PropertyReport, jacobian_fd
+from .geometry import ConvexSet, PolyhedralCone, _exact_distances, as_vector
+from .operators import Compose, Identity, OperatorExpr, _verdict, jacobian_fd
 from .vi import SolveReport, SolverParams, solve_extragradient
 
 GAP_TOL = 1e-6
@@ -291,15 +291,9 @@ def _image_miss(a, K, image, seed, samples=_IMAGE_CHECK_SAMPLES):
         pts = np.atleast_2d(K.sample(np.random.default_rng(seed), samples))
     except (UnsupportedVariant, NonConvergence):
         return 0.0, None
-    imgs = np.asarray(a(pts), dtype=float)
-    worst, witness = 0.0, None
-    # the batch distance may only bound the true one from below off the
-    # set, so the rows it puts outside are scored exactly
-    for i in np.flatnonzero(image._distance_batch(imgs) > 0.0):
-        d = image.distance(imgs[i])
-        if d > worst:
-            worst, witness = d, pts[i]
-    return worst, witness
+    dist = _exact_distances(image, np.asarray(a(pts), dtype=float))
+    i = int(np.argmax(np.nan_to_num(dist)))  # a NaN distance never decides
+    return (float(dist[i]), pts[i]) if dist[i] > 0.0 else (0.0, None)
 
 
 @dataclass
@@ -373,7 +367,14 @@ def solve_gvi(problem, x0=None, record_history=False):
         record_history=record_history,
     )
     u_star = rep.solution
-    x_star = reduced.representative(u_star)
+    try:
+        x_star = reduced.representative(u_star)
+    except InversionFailed as err:
+        # u* lies in the declared image but outside a(K): report the
+        # nearest point found, whose pullback residual fails ``certify``
+        if err.best_point is None:
+            raise
+        x_star = err.best_point
     pullback = float(np.linalg.norm(np.asarray(problem.a(x_star), dtype=float) - u_star))
     gap = gvi_gap(problem, x_star)
     return GviSolveReport(
@@ -521,21 +522,9 @@ def check_selection_independence(problem, x, inversion=None, tol=1e-6):
     x = as_vector(x, problem.K.dim, "x")
     u = np.asarray(problem.a(x), dtype=float)
     ax_val = np.asarray(problem.A(x), dtype=float)
-    candidates = preimage_candidates(problem.a, problem.K, u, inv)
-    checked = 0
-    worst = 0.0
-    witness = None
-    for y in candidates:
-        if np.linalg.norm(y - x) <= tol:
-            continue
-        checked += 1
-        v = float(np.linalg.norm(np.asarray(problem.A(y), dtype=float) - ax_val))
-        gap = gvi_gap(problem, y)
-        if gap < -GAP_TOL:
-            v = max(v, -gap)
-        if v > worst:
-            worst = v
-            witness = (x, y)
-    if worst > tol:
-        return PropertyReport("selection_independence", "violated", witness, checked, worst)
-    return PropertyReport("selection_independence", "holds_on_samples", None, checked, worst)
+    ys = np.array(preimage_candidates(problem.a, problem.K, u, inv)).reshape(-1, problem.K.dim)
+    ys = ys[np.linalg.norm(ys - x, axis=1) > tol]
+    viol = np.linalg.norm(np.asarray(problem.A(ys), dtype=float) - ax_val, axis=1)
+    gaps = np.array([gvi_gap(problem, y) for y in ys])
+    viol = np.where(gaps < -GAP_TOL, np.maximum(viol, -gaps), viol)
+    return _verdict("selection_independence", viol, (np.broadcast_to(x, ys.shape), ys), tol)

@@ -6,9 +6,12 @@ a batch whose last axis is the input dimension, which keeps the grid
 oracle vectorized.
 
 The ``check_*`` functions probe inequalities on randomized samples from a
-compact set and return a ``PropertyReport``.  A sampled check can refute a
-property (with a reproducible witness) but can only report that it held on
-the samples; ``proven`` is reserved for the analytic affine test.
+compact set and return a ``PropertyReport``.  Each draws its samples from
+its seed in a fixed order, evaluates every operator once on the stacked
+samples (batch evaluation), and hands the violation of each sample to one
+verdict rule.  A sampled check can refute a property (with a reproducible
+witness) but can only report that it held on the samples; ``proven`` is
+reserved for the analytic affine test.
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, InversionFailed, UnsupportedVariant
-from .geometry import as_vector, segment_distance, stable_inverse
+from .geometry import _exact_distances, as_vector, segment_distance, stable_inverse
 
 FD_STEP = 1e-6
 FIBER_MATCH_TOL = 1e-7
@@ -354,21 +357,47 @@ class PropertyReport:
         }
 
 
-def _scan_pairs(name, K, cfg, violation):
-    """Shared driver: track the worst violation over sampled pairs."""
-    rng = np.random.default_rng(cfg.seed)
-    worst = -math.inf
-    worst_pair = None
-    for _ in range(cfg.samples):
-        x = K.sample(rng)
-        y = K.sample(rng)
-        v = violation(x, y)
-        if v > worst:
-            worst = v
-            worst_pair = (x, y)
-    if worst > cfg.tol:
-        return PropertyReport(name, "violated", worst_pair, cfg.samples, worst)
-    return PropertyReport(name, "holds_on_samples", None, cfg.samples, worst)
+def _draw(K, seed, n, points=2, segment=False):
+    """``points`` stacks of ``n`` samples of K, plus n segment fractions if ``segment``.
+
+    Sample i draws its points with one ``K.sample(rng)`` call each, then
+    its fraction, so row i is what a per-sample loop would have drawn.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        rows.append([K.sample(rng) for _ in range(points)] + ([rng.random()] if segment else []))
+    return [np.array(col) for col in zip(*rows)]
+
+
+def _increments(op, x, y):
+    """Rows ``op(x_i) - op(y_i)``, with ``op`` evaluated once on the stacked rows."""
+    v = np.asarray(op(np.concatenate([x, y])), dtype=float)
+    return v[: len(x)] - v[len(x) :]
+
+
+def _rowdot(u, v):
+    return np.einsum("ij,ij->i", u, v)
+
+
+def _verdict(name, viol, witness, tol, samples=None):
+    """The report of a sampled check from its violation vector.
+
+    ``viol[i]`` scores sample i, whose points are row i of each stack in
+    ``witness``.  The first of the worst samples decides, and it is the
+    witness when it exceeds ``tol``.  A sample whose violation is NaN
+    cannot be scored, so it never decides.  ``samples`` defaults to the
+    length of ``viol``; with no samples the property holds at violation 0.0.
+    """
+    viol = np.asarray(viol, dtype=float)
+    viol = np.where(np.isnan(viol), -np.inf, viol)
+    samples = viol.size if samples is None else samples
+    i = int(np.argmax(viol)) if viol.size else None
+    worst = 0.0 if i is None else float(viol[i])
+    if worst > tol:
+        witness = tuple(np.array(w[i]) for w in witness)
+        return PropertyReport(name, "violated", witness, samples, worst)
+    return PropertyReport(name, "holds_on_samples", None, samples, worst)
 
 
 def check_monotone_relative(T, t, K, cfg):
@@ -377,11 +406,9 @@ def check_monotone_relative(T, t, K, cfg):
     With ``t`` the identity this is plain monotonicity.  The violation
     functional is the negated inner product.
     """
-
-    def viol(x, y):
-        return -float(np.dot(np.asarray(T(x)) - T(y), np.asarray(t(x)) - t(y)))
-
-    return _scan_pairs("monotone_relative", K, cfg, viol)
+    x, y = _draw(K, cfg.seed, cfg.samples)
+    viol = -_rowdot(_increments(T, x, y), _increments(t, x, y))
+    return _verdict("monotone_relative", viol, (x, y), cfg.tol)
 
 
 def affine_relative_monotone(matrix, relative_matrix, psd_tol=PSD_TOL):
@@ -414,31 +441,18 @@ def check_ql(g, K, cfg):
     expected for most nonlinear maps; this check is informational and the
     solvers do not require the property.
     """
-    rng = np.random.default_rng(cfg.seed)
-    worst = -math.inf
-    worst_triple = None
-    for _ in range(cfg.samples):
-        x = K.sample(rng)
-        y = K.sample(rng)
-        z = x + rng.random() * (y - x)
-        d = segment_distance(np.asarray(g(z), float), np.asarray(g(x), float), np.asarray(g(y), float))
-        if d > worst:
-            worst = d
-            worst_triple = (x, y, z)
-    if worst > cfg.tol:
-        return PropertyReport("ql", "violated", worst_triple, cfg.samples, worst)
-    return PropertyReport("ql", "holds_on_samples", None, cfg.samples, worst)
+    x, y, t = _draw(K, cfg.seed, cfg.samples, segment=True)
+    z = x + t[:, None] * (y - x)
+    gz, gx, gy = np.split(np.asarray(g(np.concatenate([z, x, y])), dtype=float), 3)
+    return _verdict("ql", segment_distance(gz, gx, gy), (x, y, z), cfg.tol)
 
 
 def check_g_nonexpansive(f, g, K, cfg):
     """Sampled test of ``|f(x) - f(y)| <= |g(x) - g(y)|`` on K."""
-
-    def viol(x, y):
-        df = float(np.linalg.norm(np.asarray(f(x), float) - f(y)))
-        dg = float(np.linalg.norm(np.asarray(g(x), float) - g(y)))
-        return df - dg
-
-    return _scan_pairs("g_nonexpansive", K, cfg, viol)
+    x, y = _draw(K, cfg.seed, cfg.samples)
+    df = np.linalg.norm(_increments(f, x, y), axis=1)
+    dg = np.linalg.norm(_increments(g, x, y), axis=1)
+    return _verdict("g_nonexpansive", df - dg, (x, y), cfg.tol)
 
 
 def check_g_pseudocontractive(f, g, K, cfg):
@@ -448,13 +462,9 @@ def check_g_pseudocontractive(f, g, K, cfg):
     inequality the coincidence solver leans on; with ``g`` the identity it
     is the classical pseudocontractivity of ``f``.
     """
-
-    def viol(x, y):
-        df = np.asarray(f(x), float) - f(y)
-        dg = np.asarray(g(x), float) - g(y)
-        return float(np.dot(df, dg) - np.dot(dg, dg))
-
-    return _scan_pairs("g_pseudocontractive", K, cfg, viol)
+    x, y = _draw(K, cfg.seed, cfg.samples)
+    df, dg = _increments(f, x, y), _increments(g, x, y)
+    return _verdict("g_pseudocontractive", _rowdot(df, dg) - _rowdot(dg, dg), (x, y), cfg.tol)
 
 
 def check_range_inclusion(f, g, K, gK, cfg, inversion=None):
@@ -468,24 +478,15 @@ def check_range_inclusion(f, g, K, gK, cfg, inversion=None):
     from .gvi import InversionParams, select_preimage
 
     inv = inversion if inversion is not None else InversionParams()
-    rng = np.random.default_rng(cfg.seed)
-    worst = -math.inf
-    worst_witness = None
-    for i in range(cfg.samples):
-        x = K.sample(rng)
-        fx = np.asarray(f(x), dtype=float)
-        v = gK.distance(fx)
-        if i < _INVERT_CHECK_CAP:
-            try:
-                select_preimage(g, K, fx, inv)
-            except InversionFailed as err:
-                v = max(v, float(err.best_residual or math.inf))
-        if v > worst:
-            worst = v
-            worst_witness = (x,)
-    if worst > cfg.tol:
-        return PropertyReport("range_inclusion", "violated", worst_witness, cfg.samples, worst)
-    return PropertyReport("range_inclusion", "holds_on_samples", None, cfg.samples, worst)
+    (x,) = _draw(K, cfg.seed, cfg.samples, points=1)
+    fx = np.asarray(f(x), dtype=float)
+    viol = _exact_distances(gK, fx)
+    for i in range(min(cfg.samples, _INVERT_CHECK_CAP)):
+        try:
+            select_preimage(g, K, fx[i], inv)
+        except InversionFailed as err:
+            viol[i] = max(viol[i], float(err.best_residual or math.inf))
+    return _verdict("range_inclusion", viol, (x,), cfg.tol)
 
 
 def check_fiber_condition(A, a, K, cfg, inversion=None, match_tol=FIBER_MATCH_TOL):
@@ -499,24 +500,13 @@ def check_fiber_condition(A, a, K, cfg, inversion=None, match_tol=FIBER_MATCH_TO
     from .gvi import InversionParams, preimage_candidates
 
     inv = inversion if inversion is not None else InversionParams()
-    rng = np.random.default_rng(cfg.seed)
     n_probe = min(cfg.samples, _FIBER_PROBE_CAP)
-    worst = -math.inf
-    worst_pair = None
-    for _ in range(n_probe):
-        x = K.sample(rng)
-        ax = np.asarray(a(x), dtype=float)
-        Ax = np.asarray(A(x), dtype=float)
-        group = [x] + preimage_candidates(a, K, ax, inv)
-        for y in group[1:]:
-            if np.linalg.norm(np.asarray(a(y), float) - ax) > match_tol:
-                continue
-            v = float(np.linalg.norm(Ax - np.asarray(A(y), float)))
-            if v > worst:
-                worst = v
-                worst_pair = (x, y)
-    if worst == -math.inf:
-        worst = 0.0
-    if worst > cfg.tol:
-        return PropertyReport("fiber_condition", "violated", worst_pair, n_probe, worst)
-    return PropertyReport("fiber_condition", "holds_on_samples", None, n_probe, worst)
+    (x,) = _draw(K, cfg.seed, n_probe, points=1)
+    ax = np.asarray(a(x), dtype=float)
+    fibers = [preimage_candidates(a, K, u, inv) for u in ax]
+    owner = np.repeat(np.arange(n_probe), [len(ys) for ys in fibers])
+    y = np.array([p for ys in fibers for p in ys]).reshape(-1, K.dim)
+    match = np.linalg.norm(np.asarray(a(y), dtype=float) - ax[owner], axis=1) <= match_tol
+    x, y = x[owner][match], y[match]
+    viol = np.linalg.norm(_increments(A, x, y), axis=1)
+    return _verdict("fiber_condition", viol, (x, y), cfg.tol, n_probe)

@@ -1,17 +1,24 @@
 """Sampled and analytic hypothesis checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from gvikit import (
     Affine,
+    Ball,
     Box,
     Constant,
+    HPolytope,
     Identity,
     PointwiseNonlinear,
+    PropertyReport,
     Rotation,
     SampleConfig,
     Scale,
+    Simplex,
+    Sum,
     affine_relative_monotone,
     check_fiber_condition,
     check_g_nonexpansive,
@@ -20,6 +27,16 @@ from gvikit import (
     check_ql,
     check_range_inclusion,
     segment_distance,
+)
+from gvikit import gvi as gvi_module
+from gvikit import operators as operators_module
+from gvikit.errors import DimensionMismatch, InversionFailed
+from gvikit.gvi import (
+    GviProblem,
+    InversionParams,
+    check_selection_independence,
+    preimage_candidates,
+    select_preimage,
 )
 
 CFG = SampleConfig(seed=2024, samples=400)
@@ -226,3 +243,274 @@ def test_report_to_dict_is_jsonable():
     assert decoded["property"] == "monotone_relative"
     assert decoded["verdict"] == "violated"
     assert len(decoded["witness"]) == 2
+
+
+# Reference implementations: the per-sample loops the checks replaced.  Each
+# draws its points one ``K.sample(rng)`` call at a time and keeps the first
+# worst sample, so comparing against them pins the draw order and the
+# tie rule of the batched checks.
+
+
+def _scan_pairs_by_loop(name, K, cfg, violation):
+    rng = np.random.default_rng(cfg.seed)
+    worst, worst_pair = -np.inf, None
+    for _ in range(cfg.samples):
+        x = K.sample(rng)
+        y = K.sample(rng)
+        v = violation(x, y)
+        if v > worst:
+            worst, worst_pair = v, (x, y)
+    if worst > cfg.tol:
+        return PropertyReport(name, "violated", worst_pair, cfg.samples, worst)
+    return PropertyReport(name, "holds_on_samples", None, cfg.samples, worst)
+
+
+def _monotone_by_loop(T, t, K, cfg):
+    def viol(x, y):
+        return -float(np.dot(np.asarray(T(x)) - T(y), np.asarray(t(x)) - t(y)))
+
+    return _scan_pairs_by_loop("monotone_relative", K, cfg, viol)
+
+
+def _nonexpansive_by_loop(f, g, K, cfg):
+    def viol(x, y):
+        df = float(np.linalg.norm(np.asarray(f(x), float) - f(y)))
+        dg = float(np.linalg.norm(np.asarray(g(x), float) - g(y)))
+        return df - dg
+
+    return _scan_pairs_by_loop("g_nonexpansive", K, cfg, viol)
+
+
+def _pseudocontractive_by_loop(f, g, K, cfg):
+    def viol(x, y):
+        df = np.asarray(f(x), float) - f(y)
+        dg = np.asarray(g(x), float) - g(y)
+        return float(np.dot(df, dg) - np.dot(dg, dg))
+
+    return _scan_pairs_by_loop("g_pseudocontractive", K, cfg, viol)
+
+
+def _ql_by_loop(g, K, cfg):
+    rng = np.random.default_rng(cfg.seed)
+    worst, worst_triple = -np.inf, None
+    for _ in range(cfg.samples):
+        x = K.sample(rng)
+        y = K.sample(rng)
+        z = x + rng.random() * (y - x)
+        d = segment_distance(np.asarray(g(z), float), np.asarray(g(x), float), np.asarray(g(y), float))
+        if d > worst:
+            worst, worst_triple = d, (x, y, z)
+    if worst > cfg.tol:
+        return PropertyReport("ql", "violated", worst_triple, cfg.samples, worst)
+    return PropertyReport("ql", "holds_on_samples", None, cfg.samples, worst)
+
+
+def _range_inclusion_by_loop(f, g, K, gK, cfg):
+    rng = np.random.default_rng(cfg.seed)
+    worst, worst_witness = -np.inf, None
+    for i in range(cfg.samples):
+        x = K.sample(rng)
+        fx = np.asarray(f(x), dtype=float)
+        v = gK.distance(fx)
+        if i < operators_module._INVERT_CHECK_CAP:
+            try:
+                select_preimage(g, K, fx, InversionParams())
+            except InversionFailed as err:
+                v = max(v, float(err.best_residual or np.inf))
+        if v > worst:
+            worst, worst_witness = v, (x,)
+    if worst > cfg.tol:
+        return PropertyReport("range_inclusion", "violated", worst_witness, cfg.samples, worst)
+    return PropertyReport("range_inclusion", "holds_on_samples", None, cfg.samples, worst)
+
+
+def _fiber_by_loop(A, a, K, cfg, match_tol=operators_module.FIBER_MATCH_TOL):
+    rng = np.random.default_rng(cfg.seed)
+    n_probe = min(cfg.samples, operators_module._FIBER_PROBE_CAP)
+    worst, worst_pair = -np.inf, None
+    for _ in range(n_probe):
+        x = K.sample(rng)
+        ax = np.asarray(a(x), dtype=float)
+        Ax = np.asarray(A(x), dtype=float)
+        for y in preimage_candidates(a, K, ax, InversionParams()):
+            if np.linalg.norm(np.asarray(a(y), float) - ax) > match_tol:
+                continue
+            v = float(np.linalg.norm(Ax - np.asarray(A(y), float)))
+            if v > worst:
+                worst, worst_pair = v, (x, y)
+    if worst == -np.inf:
+        worst = 0.0
+    if worst > cfg.tol:
+        return PropertyReport("fiber_condition", "violated", worst_pair, n_probe, worst)
+    return PropertyReport("fiber_condition", "holds_on_samples", None, n_probe, worst)
+
+
+_SETS_3D = {
+    "box": Box([-1.0, -0.5, -1.0], [1.0, 1.0, 0.5]),
+    "ball": Ball([0.1, -0.2, 0.05], 0.9),
+    "simplex": Simplex(3),
+    "hpolytope": HPolytope(
+        np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))]),
+        np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.5]),
+    ),
+}
+_TANH = PointwiseNonlinear("tanh", 3)
+_SHEAR = Affine([[1.0, 0.5, 0.0], [0.0, 1.0, -0.25], [0.2, 0.0, 1.0]])
+_SHIFT = Affine(0.9 * np.eye(3), [0.3, -0.1, 0.2])
+_FIRST = Affine([[1.0, 0.0, 0.0]])
+
+# name -> (batched check, reference loop, sample count); the operators make
+# most cases violated, so witnesses are compared and not only verdicts
+_CHECKS = {
+    "monotone": (
+        lambda K, c: check_monotone_relative(Sum(Rotation(2.0, dim=3), _TANH), _SHEAR, K, c),
+        lambda K, c: _monotone_by_loop(Sum(Rotation(2.0, dim=3), _TANH), _SHEAR, K, c),
+        200,
+    ),
+    "ql": (
+        lambda K, c: check_ql(PointwiseNonlinear("square", 3), K, c),
+        lambda K, c: _ql_by_loop(PointwiseNonlinear("square", 3), K, c),
+        200,
+    ),
+    "nonexpansive": (
+        lambda K, c: check_g_nonexpansive(Scale(1.5, _TANH), Identity(3), K, c),
+        lambda K, c: _nonexpansive_by_loop(Scale(1.5, _TANH), Identity(3), K, c),
+        200,
+    ),
+    "pseudocontractive": (
+        lambda K, c: check_g_pseudocontractive(Scale(2.5, _TANH), _SHEAR, K, c),
+        lambda K, c: _pseudocontractive_by_loop(Scale(2.5, _TANH), _SHEAR, K, c),
+        200,
+    ),
+    "range_inclusion": (
+        lambda K, c: check_range_inclusion(_SHIFT, Identity(3), K, K, c),
+        lambda K, c: _range_inclusion_by_loop(_SHIFT, Identity(3), K, K, c),
+        200,
+    ),
+    "fiber": (
+        lambda K, c: check_fiber_condition(Identity(3), _FIRST, K, c),
+        lambda K, c: _fiber_by_loop(Identity(3), _FIRST, K, c),
+        12,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+@pytest.mark.parametrize("set_name", sorted(_SETS_3D))
+@pytest.mark.parametrize("check", sorted(_CHECKS))
+def test_batched_check_matches_the_loop(check, set_name, seed):
+    batched, by_loop, samples = _CHECKS[check]
+    K = _SETS_3D[set_name]
+    cfg = SampleConfig(seed=seed, samples=samples)
+    got, want = batched(K, cfg), by_loop(K, cfg)
+    assert want.verdict == "violated"  # so the witnesses are compared too
+    assert (got.property, got.verdict, got.samples_used) == (
+        want.property,
+        want.verdict,
+        want.samples_used,
+    )
+    assert abs(got.max_violation - want.max_violation) <= 1e-12 * max(1.0, abs(want.max_violation))
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert len(got.witness) == len(want.witness)
+        for g, w in zip(got.witness, want.witness):
+            np.testing.assert_array_equal(g, w)
+
+
+class TestSegmentDistanceStacks:
+    RNG_SEED = 5
+
+    def _stacks(self, n=40, dim=3):
+        rng = np.random.default_rng(self.RNG_SEED)
+        return rng.normal(size=(n, dim)), rng.normal(size=(n, dim)), rng.normal(size=(n, dim))
+
+    def test_stack_equals_row_by_row(self):
+        p, x, y = self._stacks()
+        got = segment_distance(p, x, y)
+        assert got.shape == (40,)
+        want = [segment_distance(pi, xi, yi) for pi, xi, yi in zip(p, x, y)]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+    def test_single_points_give_a_float(self):
+        d = segment_distance([0.0, 1.0], [-1.0, 0.0], [1.0, 0.0])
+        assert isinstance(d, float) and d == 1.0
+
+    def test_degenerate_rows_use_the_point_distance(self):
+        p, x, _ = self._stacks(n=6)
+        y = x.copy()
+        y[::2] += 1.0  # every other segment is a proper one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = segment_distance(p, x, y)
+        np.testing.assert_array_equal(got[1::2], np.linalg.norm(p[1::2] - x[1::2], axis=1))
+
+    @pytest.mark.parametrize(
+        "shapes", [((2,), (3,), (3,)), ((4, 2), (4, 2), (3, 2)), ((4, 2), (4, 3), (4, 2))]
+    )
+    def test_mismatched_shapes(self, shapes):
+        p, x, y = (np.zeros(s) for s in shapes)
+        with pytest.raises(DimensionMismatch):
+            segment_distance(p, x, y)
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_non_finite_entries(self, where):
+        args = [np.zeros((3, 2)) for _ in range(3)]
+        args[where][1, 0] = np.nan if where else np.inf
+        with pytest.raises(ValueError):
+            segment_distance(*args)
+
+
+class TestVerdict:
+    def test_first_of_tied_worst_is_the_witness(self):
+        viol = np.array([0.1, 0.5, 0.2, 0.5, 0.5])
+        pts = np.arange(10.0).reshape(5, 2)
+        rep = operators_module._verdict("p", viol, (pts, -pts), tol=0.3)
+        assert rep.verdict == "violated"
+        assert rep.samples_used == 5 and rep.max_violation == 0.5
+        np.testing.assert_array_equal(rep.witness[0], pts[1])
+        np.testing.assert_array_equal(rep.witness[1], -pts[1])
+
+    def test_nan_samples_never_decide(self):
+        viol = np.array([np.nan, 0.5, np.nan, 0.1])
+        rep = operators_module._verdict("p", viol, (np.arange(4.0),), tol=0.3)
+        assert (rep.verdict, rep.max_violation, rep.witness[0]) == ("violated", 0.5, 1.0)
+
+    def test_overflow_keeps_the_refutation(self):
+        # cube overflows on this box, so many increments are inf - inf = NaN;
+        # the samples that still score refute monotonicity, as the loop did
+        K = Box([-1e103, -1.0], [1e103, 1.0])
+        T = Scale(-1.0, PointwiseNonlinear("cube", 2))
+        cfg = SampleConfig(seed=1, samples=50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = check_monotone_relative(T, Identity(2), K, cfg)
+            want = _monotone_by_loop(T, Identity(2), K, cfg)
+        assert (got.verdict, got.max_violation) == (want.verdict, want.max_violation)
+        assert got.verdict == "violated"
+        for g, w in zip(got.witness, want.witness):
+            np.testing.assert_array_equal(g, w)
+
+    def test_holding_report_has_no_witness(self):
+        rep = operators_module._verdict("p", np.array([-1.0, 0.25]), (np.zeros((2, 1)),), tol=0.3)
+        assert (rep.verdict, rep.witness, rep.samples_used) == ("holds_on_samples", None, 2)
+        assert rep.max_violation == 0.25
+
+    def test_no_samples_hold_at_zero(self):
+        rep = operators_module._verdict("p", np.zeros(0), (np.zeros((0, 2)),), tol=0.0)
+        assert (rep.verdict, rep.witness, rep.samples_used) == ("holds_on_samples", None, 0)
+        assert rep.max_violation == 0.0 and isinstance(rep.max_violation, float)
+
+    def test_fiber_without_alternative_preimages(self, monkeypatch):
+        monkeypatch.setattr(gvi_module, "preimage_candidates", lambda *args: [])
+        cfg = SampleConfig(seed=3, samples=10)
+        rep = check_fiber_condition(PointwiseNonlinear("cube", 1), SQUARE, SYM_BOX, cfg)
+        assert (rep.verdict, rep.witness, rep.samples_used) == ("holds_on_samples", None, 10)
+        assert rep.max_violation == 0.0
+
+    def test_selection_independence_without_alternative_preimages(self):
+        problem = GviProblem(
+            A=Affine([[1.0]], [-0.5]), a=Identity(1), K=SYM_BOX, image_aK=SYM_BOX
+        )
+        rep = check_selection_independence(problem, np.array([0.5]))
+        assert (rep.verdict, rep.witness, rep.samples_used) == ("holds_on_samples", None, 0)
+        assert rep.max_violation == 0.0

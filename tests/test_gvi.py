@@ -13,6 +13,7 @@ from gvikit.gvi import (
     ImageConsistencyWarning,
     InversionParams,
     ReducedOperator,
+    certify,
     check_selection_independence,
     complementarity_check,
     default_gap_probes,
@@ -21,7 +22,15 @@ from gvikit.gvi import (
     select_preimage,
     solve_gvi,
 )
-from gvikit.operators import Affine, Constant, Identity, PointwiseNonlinear, Sum, jacobian_fd
+from gvikit.operators import (
+    Affine,
+    Constant,
+    Difference,
+    Identity,
+    PointwiseNonlinear,
+    Sum,
+    jacobian_fd,
+)
 from gvikit.vi import SolverParams
 
 
@@ -288,6 +297,23 @@ class TestImageMiss:
             assert worst == pytest.approx(ref_worst, rel=1e-9, abs=1e-15)
             np.testing.assert_array_equal(witness, ref_witness)
 
+    def test_nan_rows_never_decide(self):
+        # cube - cube is inf - inf = NaN where the cube overflows; the rows
+        # that still evaluate decide, as the per-sample loop had it
+        cube = PointwiseNonlinear("cube", 2)
+        a = Sum(Difference(cube, cube), Identity(2))
+        K = Box(np.array([-1e103, -1.0]), np.array([1e103, 1.0]))
+        image = Box(-0.5 * np.ones(2), 0.5 * np.ones(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst, witness = gvi_module._image_miss(a, K, image, 3)
+            pts = K.sample(np.random.default_rng(3), gvi_module._IMAGE_CHECK_SAMPLES)
+            imgs = a(pts)
+        finite = np.all(np.isfinite(imgs), axis=1)
+        assert 0 < finite.sum() < len(pts)
+        dists = [image.distance(u) for u in imgs[finite]]
+        assert worst == max(dists)
+        np.testing.assert_array_equal(witness, pts[finite][int(np.argmax(dists))])
+
 
 class TestComplementarity:
     ORTHANT = PolyhedralCone(np.eye(2))
@@ -518,6 +544,33 @@ class TestClosedFormReduction:
         np.testing.assert_allclose(rep.solution, [-0.283333, 0.166667, -0.016667], atol=1e-6)
         assert rep.pullback_residual == pytest.approx(0.0, abs=1e-12)
         assert rep.gap_certificate >= -1e-6
+
+
+class TestPullbackOutsideAK:
+    """A reduced solution in the declared image but outside a(K) has no preimage in K."""
+
+    @pytest.mark.parametrize(
+        "a, half_width, miss",
+        [(Identity(1), 2.0, 0.5), (Affine(2.0 * np.eye(1)), 3.0, 1.0)],
+        ids=["identity", "double"],
+    )
+    def test_solve_reports_the_miss(self, a, half_width, miss):
+        # the reduced operator vanishes at u* = a(1.5), outside a(K) = a([-1, 1]),
+        # so the pullback can only reach the nearest point x = 1
+        problem = GviProblem(
+            A=Affine(np.eye(1), np.array([-1.5])),
+            a=a,
+            K=Box(-np.ones(1), np.ones(1)),
+            image_aK=Box(-half_width * np.ones(1), half_width * np.ones(1)),
+        )
+        rep = solve_gvi(problem)
+        np.testing.assert_allclose(rep.solution, [1.0], atol=1e-12)
+        pullback = float(np.linalg.norm(a(rep.solution) - rep.reduced_solution))
+        assert rep.pullback_residual == pullback
+        assert rep.pullback_residual == pytest.approx(miss, abs=1e-7)
+        cert = certify(problem, rep)
+        assert not cert.certified
+        assert cert.residuals["pullback"] == rep.pullback_residual
 
 
 class _KeyErrorSampling(Box):

@@ -421,6 +421,28 @@ class TestOnePath:
         assert report["iterations"] >= 1
         assert report["reduced_solution"] is not None
 
+    def test_pullback_miss_is_a_status(self, capsys, tmp_path):
+        # A(x) = x - 1.5 on [-1, 1] reduces to u* = 1.5, inside the declared
+        # image [-2, 2] but outside a(K); the pullback fails the certificate
+        data = {
+            "version": "1",
+            "kind": "gvi",
+            "operators": {
+                "A": {"op": "affine", "matrix": [[1.0]], "shift": [-1.5]},
+                "a": {"op": "identity", "dim": 1},
+            },
+            "set": {"type": "box", "lower": [-1.0], "upper": [1.0]},
+            "image_set": {"type": "box", "lower": [-2.0], "upper": [2.0]},
+            "seed": 7,
+        }
+        code, report, _ = _run(capsys, ["certify", _write(tmp_path, data), "--quiet"])
+        assert code == 1
+        assert report["exit_status"] == "solved_uncertified"
+        assert "error" not in report
+        assert report["solution"] == [1.0]
+        assert report["residuals"]["pullback"] == pytest.approx(0.5, abs=1e-7)
+        assert report["residuals"]["gap"] >= -1e-6
+
     def test_precheck_runs_once_per_run(self, monkeypatch):
         calls = []
         real = coincidence.precheck
