@@ -31,7 +31,6 @@ from .gvi import (
     solve_gvi,
 )
 from .operators import (
-    Affine,
     Difference,
     Identity,
     SampleConfig,
@@ -91,11 +90,12 @@ def _check_cfg(problem):
 
 
 def _monotone_report(T, t, K, cfg):
-    """Analytic verdict for affine pairs, sampled verdict otherwise."""
-    if isinstance(T, Affine) and isinstance(t, (Affine, Identity)):
-        g = t.matrix if isinstance(t, Affine) else np.eye(T.in_dim)
-        if T.matrix.shape[0] == T.matrix.shape[1] and T.matrix.shape == g.shape:
-            return affine_relative_monotone(T.matrix, g)
+    """Analytic verdict for square affine pairs, sampled verdict otherwise."""
+    forms = T.affine_form(), t.affine_form()
+    if None not in forms:
+        m, g = forms[0][0], forms[1][0]
+        if m.shape[0] == m.shape[1] and m.shape == g.shape:
+            return affine_relative_monotone(m, g)
     return check_monotone_relative(T, t, K, cfg)
 
 

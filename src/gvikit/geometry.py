@@ -480,45 +480,15 @@ class HPolytope(ConvexSet):
 def _cone_halfspaces(generators):
     """Halfspace description of ``cone(generators)``.
 
-    Directions orthogonal to the span are pinned with paired inequalities;
-    within the span, facets are enumerated from rank ``k - 1`` generator
-    subsets.  If no facet survives, the cone fills its span.
+    The facets of the cone are the facets through 0 of the hull of 0 and
+    the generators, the pinned pairs orthogonal to the span among them.
+    If no facet passes through 0, the cone fills its span.  Raises
+    ``DimensionTooLarge`` where the hull enumeration does.
     """
     g = np.atleast_2d(np.asarray(generators, dtype=float))
-    d, m = g.shape
-    u, s, _ = np.linalg.svd(g)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > 1e-10 * max(smax, 1.0)))
-    rows = []
-    for j in range(rank, d):
-        rows.append(u[:, j])
-        rows.append(-u[:, j])
-    basis = u[:, :rank]
-    gp = basis.T @ g
-    tol = 1e-10 * max(smax, 1.0)
-    if rank == 1:
-        signs = gp[0]
-        if not (np.any(signs > tol) and np.any(signs < -tol)):
-            sgn = 1.0 if np.any(signs > tol) else -1.0
-            rows.append(-sgn * basis[:, 0])
-    elif rank >= 2:
-        facets = []
-        for idx in itertools.combinations(range(m), rank - 1):
-            ns = _null_space(gp[:, list(idx)].T)
-            if ns.shape[1] != 1:
-                continue
-            n = ns[:, 0]
-            vals = n @ gp
-            if np.max(vals) <= tol:
-                facets.append(basis @ n)
-            elif np.min(vals) >= -tol:
-                facets.append(-(basis @ n))
-        rows.extend(_dedup_rows(facets, 1e-9))
-    if not rows:
-        # cone equal to the whole space
-        return np.zeros((0, d)), np.zeros(0)
-    a = np.array(rows)
-    a /= np.linalg.norm(a, axis=1)[:, None]
+    rows, offsets = _hull_halfspaces(np.vstack([np.zeros(g.shape[0]), g.T]))
+    through_zero = np.abs(offsets) <= 1e-9 * (1.0 + float(np.max(np.abs(g))))
+    a = rows.reshape(-1, g.shape[0])[through_zero]
     return a, np.zeros(a.shape[0])
 
 

@@ -3,8 +3,10 @@
 The problem: find x in K with ``<A(x), a(y) - a(x)> >= 0`` for all y in K.
 Writing u = a(x) turns this into a Stampacchia inequality for the reduced
 operator ``A o b`` on ``a(K)``, where b picks one preimage per image
-point.  When ``a`` is the identity or a nonsingular affine map, b is its
-closed-form inverse and the reduced operator is the expression
+point.  When ``a`` is affine with a nonsingular matrix (any expression
+whose ``affine_form()`` exists: the identity, an ``Affine``, a
+``Rotation``, or a ``Scale``, ``Sum`` or ``Compose`` of affine maps), b is
+its closed-form inverse and the reduced operator is the expression
 ``A o a^{-1}``, evaluated with no preimage search.  For other maps this
 module supplies the preimage selection (projected Gauss-Newton with
 deterministic multistart) behind a per-solve fiber cache.  It also holds
@@ -30,7 +32,7 @@ from .errors import (
     UnsupportedVariant,
 )
 from .geometry import ConvexSet, PolyhedralCone, _exact_distances, as_vector
-from .operators import Compose, Identity, OperatorExpr, _verdict, jacobian_fd
+from .operators import Compose, OperatorExpr, _verdict, jacobian_fd
 from .vi import SolveReport, SolverParams, solve_extragradient
 
 GAP_TOL = 1e-6
@@ -102,90 +104,75 @@ def _gauss_newton(a, K, u, x0, inv):
     return x, best
 
 
-def _default_starts(K, u, inv):
-    starts = [K.project(u)] if u.shape[0] == K.dim else []
-    extra = inv.multistart - len(starts)
-    if extra > 0:
-        rng = np.random.default_rng(_MULTISTART_SEED)
-        pts = K.sample(rng, extra)
-        starts.extend(np.asarray(pts))
-    return starts
+def _fixed_starts(K, n):
+    """``n`` points of K drawn from the fixed multistart seed."""
+    if n < 1:
+        return []
+    return list(np.atleast_2d(K.sample(np.random.default_rng(_MULTISTART_SEED), n)))
 
 
-def _closed_form(a, K, u, inv):
-    """The projected closed-form preimage as a final ``(x, residual)``, or None.
+def _default_starts(K, u, inv, sample=None):
+    """``inv.multistart`` starts: ``P_K(u)`` when ``u`` has K's dimension, then
+    ``sample``, the ``_fixed_starts`` of K for the rest, drawn here when None."""
+    head = [K.project(u)] if u.shape[0] == K.dim else []
+    return head + (_fixed_starts(K, inv.multistart - len(head)) if sample is None else sample)
 
-    None means the multistart search has to run: ``a`` has no closed-form
-    inverse, or its preimage misses K and a search may still come closer.
-    An identity miss is final, because ``P_K(u)`` is the nearest point of
-    K to ``u``.
+
+def _searches(a, K, u, inv, starts=None):
+    """``(x, residual)`` per attempt: the projected closed-form preimage alone
+    when it hits or ``a`` is an isometry (``|a(x) - u| = |x - a^{-1}(u)|``, so
+    ``P_K(a^{-1}(u))`` is the point of K that ``a`` maps nearest to u), else
+    one projected Gauss-Newton run per start (``_default_starts`` by default).
     """
-    exact = a.preimage(u)
-    if exact is None:
-        return None
-    x, _, res = _projected_residual(a, K, u, exact)
-    if res <= inv.tol or isinstance(a, Identity):
-        return x, res
-    return None
-
-
-def _no_preimage(u, inv, best_res, best_x):
-    return InversionFailed(
-        f"no preimage of {np.asarray(u).tolist()} within {inv.tol} "
-        f"(best residual {best_res:.3e})",
-        best_residual=best_res,
-        best_point=best_x,
-    )
+    inverse = a.inverse()
+    if inverse is not None:
+        x, _, res = _projected_residual(a, K, u, inverse(u))
+        if res <= inv.tol or a.is_isometry():
+            yield x, res
+            return
+    for x0 in _default_starts(K, u, inv) if starts is None else starts:
+        yield _gauss_newton(a, K, u, x0, inv)
 
 
 def select_preimage(a, K, u, inv=None, starts=None):
     """One point x in K with ``|a(x) - u|`` within tolerance.
 
-    The closed-form preimage of an identity or nonsingular affine map,
-    projected onto K, is tried first; an identity map that misses fails
-    there.  Otherwise projected Gauss-Newton runs from each start in order
-    and the first success wins, which makes the selection deterministic;
-    the default start list is the projection of ``u`` onto K followed by a
-    fixed-seed sample of K.  Raises ``InversionFailed`` with the best
-    residual seen when no start reaches the tolerance.
+    The closed-form preimage of a nonsingular affine map, projected onto
+    K, is tried first; an isometry that misses fails there.  Otherwise
+    projected Gauss-Newton runs from each start in order and the first
+    success wins, which makes the selection deterministic; the default
+    start list is the projection of ``u`` onto K followed by a fixed-seed
+    sample of K.  Raises ``InversionFailed`` with the best residual seen
+    when no attempt reaches the tolerance.
     """
     inv = inv if inv is not None else InversionParams()
     u = as_vector(u, getattr(a, "out_dim", None), "u")
-    exact = _closed_form(a, K, u, inv)
-    if exact is not None:
-        x, res = exact
-        if res > inv.tol:
-            raise _no_preimage(u, inv, res, x)
-        return x
-    if starts is None:
-        starts = _default_starts(K, u, inv)
     best_x, best_res = None, np.inf
-    for x0 in starts:
-        x, res = _gauss_newton(a, K, u, x0, inv)
+    for x, res in _searches(a, K, u, inv, starts):
         if res <= inv.tol:
             return x
         if res < best_res:
             best_x, best_res = x, res
-    raise _no_preimage(u, inv, best_res, best_x)
+    raise InversionFailed(
+        f"no preimage of {u.tolist()} within {inv.tol} (best residual {best_res:.3e})",
+        best_residual=best_res,
+        best_point=best_x,
+    )
 
 
 def preimage_candidates(a, K, u, inv=None, dedup_tol=1e-6):
     """All distinct preimages the search can reach.
 
     Used by the fiber and selection-independence checks, which need to see
-    every branch of ``a^{-1}``, not just the first.  An identity or
-    nonsingular affine map is injective, so its projected closed-form
-    preimage is the only candidate when it hits, and an identity map that
-    misses has none; otherwise the projected Gauss-Newton multistart runs.
+    every branch of ``a^{-1}``, not just the first.  A nonsingular affine
+    map is injective, so its projected closed-form preimage is the only
+    candidate when it hits, and an isometry that misses has none;
+    otherwise the projected Gauss-Newton multistart runs.
     """
     inv = inv if inv is not None else InversionParams()
     u = as_vector(u, getattr(a, "out_dim", None), "u")
-    exact = _closed_form(a, K, u, inv)
-    if exact is not None:
-        return [exact[0]] if exact[1] <= inv.tol else []
     found = []
-    for x0 in _default_starts(K, u, inv):
-        x, res = _gauss_newton(a, K, u, x0, inv)
+    for x, res in _searches(a, K, u, inv):
         if res <= inv.tol and all(np.linalg.norm(x - y) > dedup_tol for y in found):
             found.append(x)
     return found
@@ -194,7 +181,7 @@ def preimage_candidates(a, K, u, inv=None, dedup_tol=1e-6):
 class ReducedOperator:
     """``u -> A(b(u))``, in closed form when ``a`` has a closed-form inverse.
 
-    An identity or nonsingular affine ``a`` makes the operator
+    A nonsingular affine ``a`` makes the operator
     ``Compose(A, a.inverse())``, evaluated without any preimage search.
     Other maps select b(u) numerically: representatives are cached per
     exact image point, and a search warm-starts from the most recent
@@ -221,13 +208,9 @@ class ReducedOperator:
         return None
 
     @cached_property
-    def _starts(self):
-        """The fixed-seed sample of K that every search tries last."""
-        n_extra = max(self.inversion.multistart - 1, 0)
-        if not n_extra:
-            return []
-        rng = np.random.default_rng(_MULTISTART_SEED)
-        return list(np.atleast_2d(self.K.sample(rng, n_extra)))
+    def _sample(self):
+        """The fixed-seed part of ``_default_starts``, drawn once per solve."""
+        return _fixed_starts(self.K, self.inversion.multistart - (self.in_dim == self.K.dim))
 
     def representative(self, u):
         """The cached or freshly inverted preimage of ``u``."""
@@ -236,11 +219,8 @@ class ReducedOperator:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        starts = []
-        if self._last is not None:
-            starts.append(self._last)
-        starts.append(self.K.project(u))
-        starts.extend(self._starts)
+        starts = [] if self._last is None else [self._last]
+        starts += _default_starts(self.K, u, self.inversion, self._sample)
         x = select_preimage(self.a, self.K, u, self.inversion, starts=starts)
         self._cache[key] = x
         self._last = x

@@ -3,7 +3,12 @@
 The expression tree covers the affine and mildly nonlinear operators the
 solvers are exercised with.  Every node evaluates on a single vector or on
 a batch whose last axis is the input dimension, which keeps the grid
-oracle vectorized.
+oracle vectorized.  Every node also answers one structure query,
+``affine_form()``, defined once per node class; the closed-form inverse,
+the isometry test and the image of a polytope derive from it, so any
+affine expression (a ``Rotation``, a ``Scale``, ``Sum`` or ``Compose`` of
+affine maps) takes the closed-form paths, not only ``Identity`` and
+``Affine``.
 
 The ``check_*`` functions probe inequalities on randomized samples from a
 compact set and return a ``PropertyReport``.  Each draws its samples from
@@ -24,11 +29,19 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, InversionFailed, UnsupportedVariant
-from .geometry import _exact_distances, as_vector, segment_distance, stable_inverse
+from .geometry import (
+    _exact_distances,
+    affine_image_polytope,
+    as_vector,
+    segment_distance,
+    stable_inverse,
+)
 
 FD_STEP = 1e-6
 FIBER_MATCH_TOL = 1e-7
 PSD_TOL = 1e-9
+# entrywise tolerance on M^T M - I for an affine map to count as an isometry
+ISOMETRY_TOL = 1e-12
 
 # caps on how many samples get the expensive numerical-inversion treatment
 _INVERT_CHECK_CAP = 25
@@ -48,14 +61,30 @@ class OperatorExpr:
         """Exact global Lipschitz constant when one is derivable, else None."""
         return None
 
-    def inverse(self):
-        """The inverse map as an expression when it has a closed form, else None."""
+    def affine_form(self):
+        """``(M, c)`` with ``self(x) == M x + c`` when the map is affine, else None."""
         return None
 
-    def preimage(self, u):
-        """The unique preimage of ``u`` in closed form, or None if there is none to give."""
-        inverse = self.inverse()
-        return None if inverse is None else inverse(u)
+    @cached_property
+    def _inverse(self):
+        form = self.affine_form()
+        m = None if form is None else stable_inverse(form[0])
+        return None if m is None else Affine(m, -m @ form[1])
+
+    def inverse(self):
+        """``u |-> M^-1 (u - c)`` when the affine form's M passes ``stable_inverse``, else None."""
+        return self._inverse
+
+    def is_isometry(self):
+        """Whether the map is affine with an orthogonal matrix, so it keeps distances."""
+        form = self.affine_form()
+        gram = None if form is None else form[0].T @ form[0]
+        return gram is not None and np.allclose(gram, np.eye(self.in_dim), 0.0, ISOMETRY_TOL)
+
+    def image(self, K):
+        """The exact image polytope of K (``affine_image_polytope``) for an affine map, else None."""
+        form = self.affine_form()
+        return None if form is None else affine_image_polytope(K, *form)
 
     def to_dict(self):
         raise NotImplementedError
@@ -73,8 +102,14 @@ class Identity(OperatorExpr):
     def lipschitz_bound(self):
         return 1.0
 
+    def affine_form(self):
+        return np.eye(self.in_dim), np.zeros(self.in_dim)
+
     def inverse(self):
         return self
+
+    def image(self, K):
+        return K
 
     def to_dict(self):
         return {"op": "identity", "dim": self.in_dim}
@@ -92,6 +127,9 @@ class Constant(OperatorExpr):
 
     def lipschitz_bound(self):
         return 0.0
+
+    def affine_form(self):
+        return np.zeros((self.out_dim, self.in_dim)), self.value
 
     def to_dict(self):
         d = {"op": "constant", "value": self.value.tolist()}
@@ -119,39 +157,26 @@ class Affine(OperatorExpr):
     def lipschitz_bound(self):
         return float(np.linalg.norm(self.matrix, 2))
 
-    @cached_property
-    def _inverse(self):
-        m = stable_inverse(self.matrix)
-        return None if m is None else Affine(m, -m @ self.shift)
-
-    def inverse(self):
-        """``u |-> M^-1 (u - shift)`` when M passes ``stable_inverse``, else None."""
-        return self._inverse
+    def affine_form(self):
+        return self.matrix, self.shift
 
     def to_dict(self):
         return {"op": "affine", "matrix": self.matrix.tolist(), "shift": self.shift.tolist()}
 
 
-class Rotation(OperatorExpr):
+class Rotation(Affine):
     """Planar rotation by ``angle`` in the coordinate plane ``plane``."""
 
     def __init__(self, angle, plane=(0, 1), dim=2):
-        self.in_dim = self.out_dim = int(dim)
         i, j = int(plane[0]), int(plane[1])
         if i == j or not (0 <= i < dim and 0 <= j < dim):
             raise ValueError("plane must name two distinct coordinates below dim")
         self.angle = float(angle)
         self.plane = (i, j)
-
-    def __call__(self, x):
-        out = np.array(x, dtype=float, copy=True)
-        i, j = self.plane
+        m = np.eye(int(dim))
         c, s = math.cos(self.angle), math.sin(self.angle)
-        xi = np.asarray(x, dtype=float)[..., i]
-        xj = np.asarray(x, dtype=float)[..., j]
-        out[..., i] = c * xi - s * xj
-        out[..., j] = s * xi + c * xj
-        return out
+        m[i, i], m[i, j], m[j, i], m[j, j] = c, -s, s, c
+        super().__init__(m)
 
     def lipschitz_bound(self):
         return 1.0
@@ -216,6 +241,10 @@ class Scale(OperatorExpr):
         l = self.inner.lipschitz_bound()
         return None if l is None else abs(self.factor) * l
 
+    def affine_form(self):
+        form = self.inner.affine_form()
+        return None if form is None else (self.factor * form[0], self.factor * form[1])
+
     def to_dict(self):
         return {"op": "scale", "factor": self.factor, "inner": self.inner.to_dict()}
 
@@ -238,6 +267,10 @@ class _Binary(OperatorExpr):
     def lipschitz_bound(self):
         a, b = self.left.lipschitz_bound(), self.right.lipschitz_bound()
         return None if a is None or b is None else a + b
+
+    def affine_form(self):
+        a, b = self.left.affine_form(), self.right.affine_form()
+        return None if a is None or b is None else (a[0] + self._sign * b[0], a[1] + self._sign * b[1])
 
     def to_dict(self):
         return {"op": self._tag, "left": self.left.to_dict(), "right": self.right.to_dict()}
@@ -272,6 +305,10 @@ class Compose(OperatorExpr):
     def lipschitz_bound(self):
         a, b = self.outer.lipschitz_bound(), self.inner.lipschitz_bound()
         return None if a is None or b is None else a * b
+
+    def affine_form(self):
+        a, b = self.outer.affine_form(), self.inner.affine_form()
+        return None if a is None or b is None else (a[0] @ b[0], a[0] @ b[1] + a[1])
 
     def to_dict(self):
         return {"op": "compose", "outer": self.outer.to_dict(), "inner": self.inner.to_dict()}

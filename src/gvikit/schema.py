@@ -19,10 +19,9 @@ from .geometry import (
     HPolytope,
     PolyhedralCone,
     Simplex,
-    affine_image_polytope,
 )
 from .gvi import IMAGE_TOL, InversionParams, _image_miss
-from .operators import Affine, Identity, operator_from_dict
+from .operators import operator_from_dict
 from .vi import SolverParams
 
 KINDS = ("vi", "gvi", "coincidence", "fixed_point", "complementarity")
@@ -227,17 +226,16 @@ class Problem:
 
 
 def _derive_image(mapping, base, pointer):
-    """Image polytope of an affine map over a vertex-enumerable set."""
-    if isinstance(mapping, Identity):
-        return base
-    if not isinstance(mapping, Affine):
-        raise SchemaError(
-            pointer, "image_set is required when the inner map is not affine"
-        )
+    """``mapping.image(base)``: any affine inner map has one, not only
+    ``Identity`` and ``Affine`` but also a ``Rotation`` or a ``Scale``,
+    ``Sum`` or ``Compose`` of affine maps."""
     try:
-        return affine_image_polytope(base, mapping.matrix, mapping.shift)
+        image = mapping.image(base)
     except ToolkitError as err:
         raise SchemaError(pointer, f"cannot derive the image set: {err}") from err
+    if image is None:
+        raise SchemaError(pointer, "image_set is required when the inner map is not affine")
+    return image
 
 
 def parse_problem(data):
@@ -310,6 +308,15 @@ def parse_problem(data):
                 f"/operators/{name}",
                 f"operator input dimension {op.in_dim} does not match the set dimension {base.dim}",
             )
+    # the first operator of each kind pairs with its inner map, or with K
+    name, inner = REQUIRED_OPERATORS[kind][0], _INNER.get(kind)
+    want = base.dim if inner is None else operators[inner].out_dim
+    if operators[name].out_dim != want:
+        against = "the set dimension" if inner is None else f"the output dimension of {inner!r}"
+        raise SchemaError(
+            f"/operators/{name}",
+            f"output dimension {operators[name].out_dim} does not match {against} {want}",
+        )
     if image_set is not None:
         inner_name = _INNER[kind]
         if image_set.dim != operators[inner_name].out_dim:

@@ -478,3 +478,116 @@ class TestProjectionAxioms:
         p = s.project(x)
         for z in (np.eye(3)[0], np.eye(3)[2], np.full(3, 1 / 3)):
             assert (x - p) @ (z - p) <= 1e-10 * max(1.0, np.linalg.norm(x - p))
+
+
+# Halfspace rows of cone(G), G a matrix whose columns are the generators,
+# computed by enumerating the rank - 1 subsets of the generators: pointed
+# cones, cones containing a line, and cones that fill their span, in
+# dimensions 1-4.
+_CONE_ROWS = {
+    "ray-1d": (
+        [[2.0]],
+        [[-1.0]],
+    ),
+    "line-1d": (
+        [[1.0, -1.0]],
+        [],
+    ),
+    "orthant-2d": (
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[0.0, -1.0], [-1.0, 0.0]],
+    ),
+    "pointed-2d": (
+        [[1.0, 2.0, 3.0], [2.0, 1.0, 2.0]],
+        [[-0.8944271909999159, 0.44721359549995804], [0.44721359549995787, -0.8944271909999159]],
+    ),
+    "halfplane-2d": (
+        [[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[0.0, -1.0]],
+    ),
+    "filling-2d": (
+        [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]],
+        [],
+    ),
+    "ray-2d": (
+        [[1.0], [1.0]],
+        [[-0.7071067811865475, 0.7071067811865476], [0.7071067811865475, -0.7071067811865476], [-0.7071067811865474, -0.7071067811865476]],
+    ),
+    "orthant-3d": (
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[0.0, 0.0, -1.0], [0.0, -1.0, 0.0], [-1.0, 0.0, 0.0]],
+    ),
+    "pyramid-3d": (
+        [[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0], [1.0, 1.0, 1.0, 1.0]],
+        [[0.5773502691896257, 0.5773502691896258, -0.5773502691896258], [0.5773502691896257, -0.5773502691896258, -0.5773502691896258], [-0.5773502691896256, 0.5773502691896258, -0.5773502691896258], [-0.5773502691896257, -0.5773502691896258, -0.5773502691896258]],
+    ),
+    "line-quadrant-3d": (
+        [[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        [[0.0, 0.0, -1.0], [0.0, -1.0, 0.0]],
+    ),
+    "filling-3d": (
+        [[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 0.0, -1.0], [0.0, 0.0, 1.0, -1.0]],
+        [],
+    ),
+    "planar-3d": (
+        [[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]],
+        [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, -1.0, 0.0], [-0.7071067811865476, 0.7071067811865476, 0.0]],
+    ),
+    "ray-3d": (
+        [[1.0], [2.0], [2.0]],
+        [[-0.6666666666666666, 0.6666666666666667, -0.3333333333333333], [0.6666666666666666, -0.6666666666666667, 0.3333333333333333], [-0.6666666666666666, -0.3333333333333333, 0.6666666666666667], [0.6666666666666666, 0.3333333333333333, -0.6666666666666667], [-0.3333333333333333, -0.6666666666666667, -0.6666666666666667]],
+    ),
+    "orthant-4d": (
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        [[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, -1.0, 0.0], [0.0, -1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]],
+    ),
+    "plane-ray-4d": (
+        [[1.0, -1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0]],
+        [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, -1.0, 0.0]],
+    ),
+    "filling-4d": (
+        [[1.0, 0.0, 0.0, 0.0, -1.0, -0.0, -0.0, -0.0], [0.0, 1.0, 0.0, 0.0, -0.0, -1.0, -0.0, -0.0], [0.0, 0.0, 1.0, 0.0, -0.0, -0.0, -1.0, -0.0], [0.0, 0.0, 0.0, 1.0, -0.0, -0.0, -0.0, -1.0]],
+        [],
+    ),
+    "planar-4d": (
+        [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+        [[-0.7071067811865475, 0.0, 0.7071067811865476, 0.0], [0.7071067811865475, 0.0, -0.7071067811865476, 0.0], [0.0, -0.7071067811865475, 0.0, 0.7071067811865476], [0.0, 0.7071067811865475, 0.0, -0.7071067811865476], [0.0, -0.7071067811865474, 0.0, -0.7071067811865476], [-0.7071067811865474, 0.0, -0.7071067811865476, 0.0]],
+    ),
+    "simplicial-4d": (
+        [[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]],
+        [[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, -0.7071067811865476, 0.7071067811865476], [0.0, -0.7071067811865476, 0.7071067811865475, 0.0], [-0.7071067811865476, 0.7071067811865475, 0.0, 0.0]],
+    ),
+}
+
+
+def _split_pinned(rows):
+    """Facet rows, and the rows whose negation is also a row (the pins of the span)."""
+    rows = np.asarray(rows, dtype=float)
+    pinned = np.array([np.min(np.linalg.norm(rows + r, axis=1)) <= 1e-9 for r in rows], bool)
+    return rows[~pinned], rows[pinned]
+
+
+def _span_projector(rows, dim):
+    if len(rows) == 0:
+        return np.zeros((dim, dim))
+    _, s, vt = np.linalg.svd(rows)
+    basis = vt[: int(np.sum(s > 1e-9))]
+    return basis.T @ basis
+
+
+@pytest.mark.parametrize("name", sorted(_CONE_ROWS))
+def test_cone_rows_match_the_generator_enumeration(name):
+    gens, expected = _CONE_ROWS[name]
+    dim = len(gens)
+    normals, offsets = geometry_module._cone_halfspaces(np.array(gens))
+    assert normals.shape[1] == dim and np.all(offsets == 0.0)
+    np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
+    got_facets, got_pins = _split_pinned(normals)
+    want_facets, want_pins = _split_pinned(np.reshape(expected, (-1, dim)))
+    _assert_same_points(got_facets.reshape(-1, dim), want_facets.reshape(-1, dim), 1e-9)
+    # the pins of a span of codimension 2 or more are one basis among many
+    # of its complement, so they agree as a subspace; with codimension 1
+    # they are the same pair of rows
+    if dim - np.linalg.matrix_rank(np.array(gens)) <= 1:
+        _assert_same_points(got_pins.reshape(-1, dim), want_pins.reshape(-1, dim), 1e-9)
+    np.testing.assert_allclose(_span_projector(got_pins, dim), _span_projector(want_pins, dim), atol=1e-9)

@@ -24,10 +24,13 @@ from gvikit.gvi import (
 )
 from gvikit.operators import (
     Affine,
+    Compose,
     Constant,
     Difference,
     Identity,
     PointwiseNonlinear,
+    Rotation,
+    Scale,
     Sum,
     jacobian_fd,
 )
@@ -408,7 +411,7 @@ class TestGviProblem:
 
 
 class TestClosedFormInversion:
-    """Identity and nonsingular affine maps invert without Gauss-Newton."""
+    """Nonsingular affine expressions invert without Gauss-Newton."""
 
     SHEAR = Affine(np.array([[2.0, 1.0], [0.0, 1.0]]), np.array([0.5, -0.25]))
 
@@ -454,6 +457,37 @@ class TestClosedFormInversion:
         assert preimage_candidates(Identity(3), simplex, u) == []
         assert fd_calls == []
 
+    @pytest.mark.parametrize(
+        "a",
+        [Rotation(0.8), Compose(Rotation(0.3), Rotation(0.5)), Scale(-1.0, Identity(2))],
+        ids=["rotation", "composed-rotations", "reflection"],
+    )
+    def test_isometry_miss_is_final(self, fd_calls, a):
+        # |a(x) - u| = |x - a^-1(u)|, so P_K(a^-1(u)) is the point of K that
+        # a maps nearest to u and no multistart can beat it
+        box = Box(np.zeros(2), np.ones(2))
+        u = a(np.array([1.4, -0.3]))
+        with pytest.raises(InversionFailed) as exc:
+            select_preimage(a, box, u)
+        np.testing.assert_allclose(exc.value.best_point, [1.0, 0.0], atol=1e-12)
+        assert exc.value.best_residual == pytest.approx(0.5, abs=1e-12)
+        assert preimage_candidates(a, box, u) == []
+        assert fd_calls == []
+
+    def test_affine_expressions_invert_in_closed_form(self, fd_calls):
+        box = Box(np.zeros(2), np.ones(2))
+        a = Sum(Scale(2.0, Rotation(0.4)), Constant([0.5, -0.5]))
+        x = select_preimage(a, box, a(np.array([0.3, 0.6])))
+        np.testing.assert_allclose(x, [0.3, 0.6], atol=1e-12)
+        assert fd_calls == []
+
+    def test_non_square_inner_map_reaches_the_search(self):
+        # the starts skip P_K(u) when u lives in a space of another dimension
+        a = Affine([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        reduced = ReducedOperator(a, a, Box(np.zeros(2), np.ones(2)))
+        x = reduced.representative(a(np.array([0.3, 0.6])))
+        np.testing.assert_allclose(x, [0.3, 0.6], atol=1e-8)
+
     def test_affine_miss_still_runs_the_multistart(self, fd_calls):
         box = Box(np.zeros(2), np.ones(2))
         u = self.SHEAR(np.ones(2)) + np.array([0.03, 0.02])
@@ -468,9 +502,9 @@ class TestClosedFormInversion:
 
     def test_singular_affine_has_no_closed_form(self):
         a = Affine(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        assert a.preimage(np.array([1.0, 2.0])) is None
-        assert Affine(np.ones((1, 2))).preimage(np.array([1.0])) is None
-        assert PointwiseNonlinear("cube", 2).preimage(np.array([1.0, 8.0])) is None
+        assert a.inverse() is None
+        assert Affine(np.ones((1, 2))).inverse() is None
+        assert PointwiseNonlinear("cube", 2).inverse() is None
 
     def test_cache_key_holds_large_coordinates(self):
         # a key quantized to int64 collapsed every coordinate above ~9.2e9

@@ -1,6 +1,8 @@
-"""Operator expressions: evaluation, bounds, Jacobians, serialization."""
+"""Operator expressions: evaluation, bounds, Jacobians, serialization, structure."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from gvikit import (
     jacobian_fd,
     operator_from_dict,
 )
+from gvikit import operators as operators_module
 
 
 class TestEvaluation:
@@ -176,3 +179,95 @@ def test_batch_matches_rowwise(flat):
         batch = op(rows)
         single = np.array([op(r) for r in rows])
         np.testing.assert_allclose(batch, single, atol=1e-14)
+
+
+def _affine_trees(n, nonlinear=False):
+    """Random expression trees on R^n; ``nonlinear`` adds PointwiseNonlinear leaves."""
+    num = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    vec = st.lists(num, min_size=n, max_size=n)
+    leaves = [
+        st.just(Identity(n)),
+        st.builds(Constant, vec),
+        st.builds(lambda m, c: Affine(np.reshape(m, (n, n)), c), st.lists(num, min_size=n * n, max_size=n * n), vec),
+    ]
+    if n >= 2:
+        leaves.append(st.builds(lambda t, i: Rotation(t, (i, (i + 1) % n), n), num, st.integers(0, n - 1)))
+    if nonlinear:
+        leaves.append(st.sampled_from([PointwiseNonlinear(k, n) for k in ("cube", "tanh", "square")]))
+    return st.recursive(
+        st.one_of(leaves),
+        lambda kids: st.one_of(
+            st.builds(Scale, num, kids),
+            st.builds(Sum, kids, kids),
+            st.builds(Difference, kids, kids),
+            st.builds(Compose, kids, kids),
+        ),
+        max_leaves=8,
+    )
+
+
+def _has_pointwise(op):
+    children = [getattr(op, k) for k in ("inner", "outer", "left", "right") if hasattr(op, k)]
+    return isinstance(op, PointwiseNonlinear) or any(_has_pointwise(c) for c in children)
+
+
+class TestAffineForm:
+    @given(st.integers(1, 3).flatmap(lambda n: _affine_trees(n, nonlinear=True)))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_form_reproduces_the_tree(self, op):
+        form = op.affine_form()
+        if _has_pointwise(op):
+            assert form is None
+            return
+        m, c = form
+        assert m.shape == (op.out_dim, op.in_dim) and c.shape == (op.out_dim,)
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, size=(6, op.in_dim))
+        want = op(x)
+        np.testing.assert_allclose(x @ m.T + c, want, rtol=0.0, atol=1e-12 * (1.0 + np.abs(want).max()))
+
+    def test_affine_returns_its_own_arrays(self):
+        op = Affine([[2.0, 1.0], [0.0, 1.0]], [0.5, -0.5])
+        m, c = op.affine_form()
+        assert m is op.matrix and c is op.shift
+
+    def test_rotation_is_an_affine_isometry(self):
+        rot = Rotation(0.7, plane=(0, 2), dim=3)
+        assert isinstance(rot, Affine) and rot.is_isometry()
+        np.testing.assert_allclose(rot.inverse().matrix, rot.matrix.T, atol=1e-15)
+        assert not Scale(2.0, rot).is_isometry()
+        assert not PointwiseNonlinear("tanh", 3).is_isometry()
+
+    def test_inverse_composes_through_the_tree(self):
+        op = Compose(Scale(2.0, Rotation(0.4)), Sum(Identity(2), Constant([1.0, -1.0])))
+        x = np.array([0.3, -0.8])
+        np.testing.assert_allclose(op.inverse()(op(x)), x, atol=1e-14)
+        assert Identity(2).inverse().__class__ is Identity
+        assert Compose(Constant([1.0]), Identity(1)).inverse() is None
+
+
+# the operator node classes; structure is asked of the node, not of its class
+_NODE_CLASSES = {
+    name
+    for name, obj in vars(operators_module).items()
+    if isinstance(obj, type) and issubclass(obj, OperatorExpr) and obj is not OperatorExpr
+}
+
+
+def _isinstance_class_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            spec = node.args[1]
+            for leaf in spec.elts if isinstance(spec, ast.Tuple) else [spec]:
+                yield node.lineno, getattr(leaf, "id", None) or getattr(leaf, "attr", None)
+
+
+def test_no_isinstance_on_operator_nodes_outside_operators():
+    package = Path(operators_module.__file__).parent
+    hits = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "operators.py"
+        for line, name in _isinstance_class_names(ast.parse(path.read_text()))
+        if name in _NODE_CLASSES
+    ]
+    assert hits == []

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gvikit import cli, coincidence, gvi
+from gvikit import cli, coincidence, gvi, operators
 from gvikit.cli import main
 from gvikit.demos import DEMOS, demo_names, get_demo
 from gvikit.errors import SchemaError
@@ -469,3 +469,138 @@ class TestOnePath:
         monkeypatch.setattr(gvi.GviProblem, "__post_init__", counted)
         cli.run_problem(parse_problem(get_demo(name)["problem"]), certify=True)
         assert len(built) == 1
+
+
+_BOX2 = {"type": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+_TALL = {"op": "affine", "matrix": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "shift": [0.0, 0.0, 0.0]}
+_ID2 = {"op": "identity", "dim": 2}
+
+
+def _tall_output_file(kind):
+    """A file of ``kind`` whose first operator maps R^2 into R^3."""
+    ops = {
+        "vi": {"A": _TALL},
+        "gvi": {"A": _TALL, "a": _ID2},
+        "coincidence": {"f": _TALL, "g": _ID2},
+        "fixed_point": {"f": _TALL},
+        "complementarity": {"T": _TALL, "g": _ID2},
+    }[kind]
+    data = {"version": "1", "kind": kind, "operators": ops, "set": _BOX2, "seed": 3}
+    if kind == "complementarity":
+        data["set"] = {"type": "cone", "generators": [[1.0, 0.0], [0.0, 1.0]]}
+        data["domain"] = _BOX2
+    return data
+
+
+class TestOutputDimensions:
+    @pytest.mark.parametrize(
+        "kind, name",
+        [("vi", "A"), ("gvi", "A"), ("coincidence", "f"), ("fixed_point", "f"), ("complementarity", "T")],
+    )
+    def test_mismatch_is_a_schema_error(self, capsys, tmp_path, kind, name):
+        data = _tall_output_file(kind)
+        assert validate(data)[0]["pointer"] == f"/operators/{name}"
+        code, report, err = _run(capsys, ["certify", _write(tmp_path, data)])
+        assert code == 2
+        assert report["exit_status"] == "schema_error"
+        assert report["error"]["pointer"] == f"/operators/{name}"
+        assert "output dimension 3" in report["error"]["message"]
+        assert "Traceback" not in err
+
+
+class TestAffineExpressions:
+    """Any affine expression takes the closed-form paths, not only Identity and Affine."""
+
+    def test_rotation_vi_is_proven_monotone(self):
+        data = {
+            "version": "1",
+            "kind": "vi",
+            "operators": {"A": {"op": "rotation", "angle": 0.5}},
+            "set": {"type": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+            "seed": 5,
+        }
+        report, code = cli.run_check(parse_problem(data))
+        assert code == 0
+        (entry,) = report["hypothesis_reports"]
+        assert entry["property"] == "affine_relative_monotone"
+        assert entry["verdict"] == "proven"
+
+    def test_scaled_identity_derives_its_image_and_needs_no_jacobian(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("jacobian_fd called")
+
+        monkeypatch.setattr(gvi, "jacobian_fd", refuse)
+        monkeypatch.setattr(operators, "jacobian_fd", refuse)
+        data = {
+            "version": "1",
+            "kind": "gvi",
+            "operators": {
+                "A": {"op": "affine", "matrix": [[1.0, 0.0], [0.0, 1.0]], "shift": [-0.5, -0.25]},
+                "a": {"op": "scale", "factor": 2.0, "inner": _ID2},
+            },
+            "set": _BOX2,
+            "seed": 6,
+        }
+        problem = parse_problem(data)
+        assert problem.image_set.contains([2.0, 0.0]) and not problem.image_set.contains([2.1, 0.0])
+        report, code = cli.run_problem(problem, certify=True)
+        assert code == 0 and report["exit_status"] == "certified"
+        np.testing.assert_allclose(report["solution"], [0.5, 0.25], atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            {"op": "rotation", "angle": 0.5},
+            {"op": "sum", "left": _ID2, "right": {"op": "constant", "value": [1.0, -1.0]}},
+            {"op": "compose", "outer": {"op": "affine", "matrix": [[1.0, 1.0], [0.0, 1.0]]}, "inner": _ID2},
+            {"op": "constant", "value": [0.5, 0.25]},
+        ],
+        ids=["rotation", "translation", "composed-shear", "constant"],
+    )
+    def test_affine_inner_maps_derive_their_image(self, inner):
+        data = {
+            "version": "1",
+            "kind": "gvi",
+            "operators": {"A": _ID2, "a": inner},
+            "set": _BOX2,
+            "seed": 4,
+        }
+        problem = parse_problem(data)
+        a = problem.operators["a"]
+        for v in problem.feasible_set.vertices():
+            assert problem.image_set.contains(a(v))
+        # a Ball enumerates no vertices, so its image still has to be declared
+        data["set"] = {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}
+        with pytest.raises(SchemaError, match="cannot derive the image set") as exc:
+            parse_problem(data)
+        assert exc.value.pointer == "/image_set"
+
+    def test_non_square_inner_map_certifies(self):
+        # a(x) = (x1, x2, x1 + x2) is injective on [0, 1]^2, and A = a - a(0.5, 0.5)
+        data = {
+            "version": "1",
+            "kind": "gvi",
+            "operators": {"A": dict(_TALL, shift=[-0.5, -0.5, -1.0]), "a": _TALL},
+            "set": _BOX2,
+            "seed": 1,
+        }
+        report, code = cli.run_problem(parse_problem(data), certify=True)
+        assert code == 0 and report["exit_status"] == "certified"
+        np.testing.assert_allclose(report["solution"], [0.5, 0.5], atol=1e-6)
+
+
+def test_cone_beyond_the_hull_budget_is_a_schema_error():
+    # C(50, 4) = 230,300 facet candidates exceed the hull enumeration budget
+    gens = np.abs(np.random.default_rng(2).normal(size=(4, 49))) + 0.1
+    data = {
+        "version": "1",
+        "kind": "complementarity",
+        "operators": {"T": {"op": "identity", "dim": 4}, "g": {"op": "identity", "dim": 4}},
+        "set": {"type": "cone", "generators": gens.tolist()},
+        "domain": {"type": "box", "lower": [0.0] * 4, "upper": [1.0] * 4},
+        "seed": 1,
+    }
+    with pytest.raises(SchemaError) as exc:
+        parse_problem(data)
+    assert exc.value.pointer == "/set"
+    assert "too large" in exc.value.reason
