@@ -178,7 +178,16 @@ def _tolerances(problem, pair, cone, tol, resolution):
     return tols
 
 
-def _oracle_section(gvi_problem, pair, solution, resolution, gap_tol):
+def _oracle_section(gvi_problem, pair, solution, resolution, gap_tol, gap_kind):
+    """Grid-oracle evidence for the solution.
+
+    A coincidence pair gets the grid point of least residual.  Otherwise
+    the grid gap runs only when the certificate's gap is sampled: an exact
+    gap is already at most the minimum over any grid in K, so a grid
+    cannot refute what it accepts.
+    """
+    if pair is None and gap_kind == "exact":
+        return {"skipped": "the gap is exact, so no grid can refute it"}
     try:
         if pair is None:
             gap = brute_gap(gvi_problem.A, gvi_problem.a, gvi_problem.K, solution, resolution)
@@ -220,6 +229,7 @@ def run_problem(problem, certify=False, resolution=None, tol=None):
         "solution": None,
         "reduced_solution": None,
         "residuals": {},
+        "gap_kind": None,
         "iterations": 0,
         "converged": False,
         "step_used": None,
@@ -249,6 +259,7 @@ def run_problem(problem, certify=False, resolution=None, tol=None):
         report["solution"] = rep.solution
         report["reduced_solution"] = rep.reduced_solution
         report["residuals"] = cert.residuals
+        report["gap_kind"] = rep.gap_kind
         report["iterations"] = rep.iterations
         report["step_used"] = rep.step_used
         if cone is not None:
@@ -264,7 +275,7 @@ def run_problem(problem, certify=False, resolution=None, tol=None):
     if certify and report["solution"] is not None:
         oracle = _oracle_section(
             gvi_problem, pair, np.asarray(report["solution"], dtype=float),
-            tols["resolution"], tols["gap"],
+            tols["resolution"], tols["gap"], report["gap_kind"],
         )
         report["oracle"] = oracle
         if oracle.get("refutes"):
@@ -369,7 +380,7 @@ def _parser():
     sp.add_argument("file")
     sp.add_argument("--quiet", action="store_true")
 
-    sp = sub.add_parser("certify", help="solve any kind and always attach the grid oracle")
+    sp = sub.add_parser("certify", help="solve any kind and attach the grid oracle")
     sp.add_argument("file")
     solver_flags(sp, with_oracle=False)
     sp.add_argument("--resolution", type=float, default=None, help="oracle grid spacing")

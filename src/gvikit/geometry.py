@@ -5,7 +5,9 @@ standard (probability) simplex, bounded halfspace intersections, and
 finitely generated cones.  Boxes, balls, and simplices project in closed
 form.  Halfspace intersections and cones project with a primal active-set
 method that starts from a stored feasible point (a vertex, or the apex)
-and reaches the exact projection in finitely many steps.
+and reaches the exact projection in finitely many steps.  The four
+bounded variants also minimize a linear function in closed form
+(``linear_min``), which makes the gap certificate exact.
 
 All sets are immutable value objects and all operations are pure.
 """
@@ -173,6 +175,14 @@ class ConvexSet:
     def bounding_box(self):
         raise UnsupportedVariant(f"{type(self).__name__} has no bounding box")
 
+    def linear_min(self, g):
+        """A point of the set minimizing ``<g, x>``.
+
+        Ties resolve deterministically: to the first vertex in ``vertices()``
+        order, or to a ball's center when ``g = 0``.
+        """
+        raise UnsupportedVariant(f"{type(self).__name__} has no linear minimizer")
+
     def to_dict(self):
         raise NotImplementedError
 
@@ -219,6 +229,9 @@ class Box(ConvexSet):
 
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
+
+    def linear_min(self, g):
+        return np.where(as_vector(g, self.dim, "g") < 0.0, self.upper, self.lower)
 
     def _distance_batch(self, pts):
         return np.linalg.norm(pts - np.clip(pts, self.lower, self.upper), axis=1)
@@ -268,6 +281,11 @@ class Ball(ConvexSet):
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
+
+    def linear_min(self, g):
+        g = as_vector(g, self.dim, "g")
+        ng = float(np.linalg.norm(g))
+        return self.center - (self.radius / ng) * g if ng > 0.0 else self.center.copy()
 
     def _distance_batch(self, pts):
         return np.maximum(
@@ -321,6 +339,9 @@ class Simplex(ConvexSet):
 
     def bounding_box(self):
         return np.zeros(self.dim), np.ones(self.dim)
+
+    def linear_min(self, g):
+        return np.eye(self.dim)[int(np.argmin(as_vector(g, self.dim, "g")))]
 
     def _distance_batch(self, pts):
         return np.linalg.norm(pts - _simplex_project_rows(pts), axis=1)
@@ -458,6 +479,10 @@ class HPolytope(ConvexSet):
 
     def bounding_box(self):
         return self._vertices.min(axis=0), self._vertices.max(axis=0)
+
+    def linear_min(self, g):
+        # a linear function attains its minimum over a polytope at a vertex
+        return self._vertices[int(np.argmin(self._vertices @ as_vector(g, self.dim, "g")))].copy()
 
     def _distance_batch(self, pts):
         slack = pts @ self._unit_normals.T - self._unit_offsets

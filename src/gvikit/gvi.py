@@ -12,7 +12,9 @@ module supplies the preimage selection (projected Gauss-Newton with
 deterministic multistart) behind a per-solve fiber cache.  It also holds
 the end-to-end solver and ``certify``: the gap, pullback, coincidence
 and complementarity residuals of a solve and the one rule that certifies
-it for every problem kind.
+it for every problem kind.  The gap is a linear minimization, exact
+through ``ConvexSet.linear_min`` wherever K or the declared image has a
+minimizer, and sampled only where neither has one.
 """
 
 from __future__ import annotations
@@ -280,22 +282,45 @@ def _image_miss(a, K, image, seed, samples=_IMAGE_CHECK_SAMPLES):
 class GviSolveReport(SolveReport):
     reduced_solution: Optional[np.ndarray] = None
     pullback_residual: float = 0.0
+    gap_kind: str = "sampled"
+
+
+def _linear_minimizer(problem):
+    """``gx -> argmin <gx, u>`` over ``a(K)`` in closed form, or None.
+
+    For an affine ``a = M y + c`` the pairing is ``<M^T gx, y>`` plus a
+    constant, so K's own minimizer maps to one of ``a(K)``.  Otherwise the
+    declared image, which contains ``a(K)``, gives a lower bound.  None
+    when neither set overrides ``ConvexSet.linear_min``.
+    """
+    form = problem.a.affine_form()
+    if form is not None and type(problem.K).linear_min is not ConvexSet.linear_min:
+        return lambda gx: problem.a(problem.K.linear_min(form[0].T @ gx))
+    if type(problem.image_aK).linear_min is not ConvexSet.linear_min:
+        return problem.image_aK.linear_min
+    return None
 
 
 def gvi_gap(problem, x, probes=None):
-    """Best probed value of ``<A(x), a(y) - a(x)>``; solutions score ~0.
+    """``min <A(x), a(y) - a(x)>`` over y in K; solutions score ~0.
 
-    The minimum runs over a finite probe set (vertices of K when they are
-    enumerable, a fixed-seed sample of K, and x itself), so a markedly
-    negative value refutes x while a near-zero value only certifies it
-    against those probes.
+    By default the minimum is exact through ``_linear_minimizer``, or a
+    lower bound over the declared image, so a value of at least ``-tol``
+    certifies x.  Where no set has a minimizer, and for explicit
+    ``probes``, it runs over a finite probe set plus x itself: a markedly
+    negative value refutes x, a near-zero one certifies it only against
+    those probes.
     """
     x = as_vector(x, problem.K.dim, "x")
+    ax = np.asarray(problem.a(x), dtype=float)
+    gx = np.asarray(problem.A(x), dtype=float)
+    minimizer = _linear_minimizer(problem) if probes is None else None
+    if minimizer is not None:
+        # y = x scores 0, so the minimum is never positive
+        return min(0.0, float((np.asarray(minimizer(gx), dtype=float) - ax) @ gx))
     if probes is None:
         probes = default_gap_probes(problem.K)
     pmat = np.vstack([_probe_matrix(probes, problem.K.dim), x])
-    ax = np.asarray(problem.a(x), dtype=float)
-    gx = np.asarray(problem.A(x), dtype=float)
     vals = (np.asarray(problem.a(pmat), dtype=float) - ax) @ gx
     return float(np.min(vals))
 
@@ -316,6 +341,11 @@ def _probe_matrix(probes, dim):
 
 
 def default_gap_probes(K, n_samples=_PROBE_SAMPLES, seed=_PROBE_SEED):
+    """The vertices of K when enumerable, then a fixed-seed sample of K.
+
+    ``gvi_gap`` probes these only when neither K nor the declared image
+    has a linear minimizer.
+    """
     probes = []
     try:
         probes.extend(np.asarray(K.vertices()))
@@ -336,7 +366,8 @@ def solve_gvi(problem, x0=None, record_history=False):
     reported solution is the preimage of the reduced solution that
     ``ReducedOperator.representative`` selects (the projected closed-form
     inverse when ``a`` has one), so ``a(x) = u`` holds up to the inversion
-    tolerance, and the gap certificate is evaluated on the original problem.
+    tolerance, and the gap certificate is evaluated on the original problem;
+    ``gap_kind`` records whether that gap is exact or sampled.
     """
     reduced = ReducedOperator(problem.A, problem.a, problem.K, problem.inversion)
     rep = solve_extragradient(
@@ -367,6 +398,7 @@ def solve_gvi(problem, x0=None, record_history=False):
         history=rep.history,
         reduced_solution=u_star,
         pullback_residual=pullback,
+        gap_kind="sampled" if _linear_minimizer(problem) is None else "exact",
     )
 
 
@@ -449,8 +481,10 @@ def certify(
     certificate holds:
 
     - ``pair = (f, g)``, a coincidence problem with ``A = g - f`` and
-      ``a = g``: ``|f(x) - g(x)| <= coincidence_tol``.  The proof probe
-      ``g^{-1}(f(x))`` also joins the gap probes.
+      ``a = g``: ``|f(x) - g(x)| <= coincidence_tol``.  When the gap is
+      sampled, the proof probe ``g^{-1}(f(x))`` also joins the gap probes;
+      an exact gap is already at most its value, as ``g(probe)`` lies in
+      ``g(K)``.
     - ``cone``, a complementarity problem with ``T = A`` and ``g = a``:
       every slack of ``complementarity_check`` is within
       ``complementarity_tol``.
@@ -465,12 +499,13 @@ def certify(
     if pair is not None:
         f, g = pair
         fx = np.asarray(f(x), dtype=float)
-        try:
-            y_probe = select_preimage(g, problem.K, fx, problem.inversion)
-            # rep.gap_certificate already minimizes over the default probes
-            residuals["gap"] = min(residuals["gap"], gvi_gap(problem, x, probes=[y_probe]))
-        except InversionFailed:
-            pass
+        if rep.gap_kind == "sampled":
+            try:
+                y_probe = select_preimage(g, problem.K, fx, problem.inversion)
+                # rep.gap_certificate already minimizes over the default probes
+                residuals["gap"] = min(residuals["gap"], gvi_gap(problem, x, probes=[y_probe]))
+            except InversionFailed:
+                pass
         residual = float(np.linalg.norm(fx - np.asarray(g(x), dtype=float)))
         residuals["coincidence"] = residual
         holds = residual <= coincidence_tol
@@ -496,7 +531,7 @@ def check_selection_independence(problem, x, inversion=None, tol=1e-6):
 
     Every alternative preimage y of ``a(x)`` reachable by the multistart
     search must carry the same operator value and must itself pass the gap
-    probe, otherwise the report carries (x, y) as a witness.
+    certificate, otherwise the report carries (x, y) as a witness.
     """
     inv = inversion if inversion is not None else problem.inversion
     x = as_vector(x, problem.K.dim, "x")

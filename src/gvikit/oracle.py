@@ -5,6 +5,12 @@ results are exact minima over the grid rather than over the set: a grid
 gap is an upper bound on the true infimum, which makes it a refutation
 tool.  Grids are generated in lexicographic order and ties resolve to the
 first point, keeping every oracle answer deterministic.
+
+A grid gap can refute only a sampled gap certificate: the exact gap of
+``gvi.gvi_gap`` is already at most the minimum over any grid in K, so the
+command line runs ``brute_gap`` only where the gap is sampled.
+``brute_coincidence`` answers another question, the lattice point of
+least residual, and runs on every certified coincidence or fixed point.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ from .geometry import as_vector
 ORACLE_MAX_DIM = 4
 GRID_POINT_CAP = 10_000_000
 _MEMBERSHIP_TOL = 1e-9
+# lattice rows filtered for membership at a time
+_GRID_CHUNK = 32_768
 
 
 def grid_points(K, resolution):
@@ -42,9 +50,20 @@ def grid_points(K, resolution):
                 f"grid would exceed {GRID_POINT_CAP} points at resolution {resolution}"
             )
     shape = tuple(len(ax) for ax in axes)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    lattice = np.stack(mesh, axis=-1).reshape(-1, K.dim)
-    keep = K._distance_batch(lattice) <= _MEMBERSHIP_TOL
+
+    def rows(flat):
+        """The lattice points at C-order indices ``flat``, one per row."""
+        return np.stack([ax[i] for ax, i in zip(axes, np.unravel_index(flat, shape))], axis=1)
+
+    # membership is filtered chunk by chunk, so the full lattice and the
+    # distance temporaries are never held at once
+    keep = np.zeros(count, dtype=bool)
+    chunks = []
+    for start in range(0, count, _GRID_CHUNK):
+        chunk = rows(np.arange(start, min(start + _GRID_CHUNK, count)))
+        inside = K._distance_batch(chunk) <= _MEMBERSHIP_TOL
+        keep[start:start + chunk.shape[0]] = inside
+        chunks.append(chunk[inside])
     try:
         vs = np.asarray(K.vertices(), dtype=float).reshape(-1, K.dim)
     except (UnsupportedVariant, DimensionTooLarge):
@@ -56,9 +75,9 @@ def grid_points(K, resolution):
     covered = (
         on_lattice
         & keep[nearest]
-        & (np.linalg.norm(lattice[nearest] - vs, axis=1) <= 1e-12)
+        & (np.linalg.norm(rows(nearest) - vs, axis=1) <= 1e-12)
     )
-    pts = lattice[keep]
+    pts = np.concatenate(chunks, axis=0)
     if not np.all(covered):
         pts = np.concatenate([pts, vs[~covered]], axis=0)
     if pts.shape[0] == 0:

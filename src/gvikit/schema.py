@@ -308,6 +308,12 @@ def parse_problem(data):
                 f"/operators/{name}",
                 f"operator input dimension {op.in_dim} does not match the set dimension {base.dim}",
             )
+    if kind == "complementarity" and operators["g"].out_dim != feasible.dim:
+        raise SchemaError(
+            "/operators/g",
+            f"output dimension {operators['g'].out_dim} does not match the cone dimension "
+            f"{feasible.dim}",
+        )
     # the first operator of each kind pairs with its inner map, or with K
     name, inner = REQUIRED_OPERATORS[kind][0], _INNER.get(kind)
     want = base.dim if inner is None else operators[inner].out_dim

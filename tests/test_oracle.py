@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gvikit import oracle
 from gvikit.errors import DimensionTooLarge, EmptyGrid
 from gvikit.geometry import Ball, Box, HPolytope, Simplex
 from gvikit.operators import Affine, Constant, Identity, PointwiseNonlinear, Sum
@@ -182,3 +183,32 @@ _CUT_CUBE = HPolytope(
 )
 def test_vertex_dedup_matches_a_full_scan(K, resolution):
     np.testing.assert_array_equal(grid_points(K, resolution), _grid_points_by_scan(K, resolution))
+
+
+def _cut_box(dim):
+    """The box [-1, 1]^dim cut by the halfspace sum(x) <= 0.7."""
+    eye = np.eye(dim)
+    return HPolytope(
+        np.vstack([eye, -eye, np.ones((1, dim))]),
+        np.concatenate([np.ones(2 * dim), [0.7]]),
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda d: Box(-np.ones(d), np.linspace(0.5, 1.0, d)),
+        lambda d: Simplex(d),
+        _cut_box,
+        lambda d: Ball(np.linspace(-0.1, 0.2, d), 0.9),
+    ],
+    ids=["box", "simplex", "hpolytope", "ball"],
+)
+def test_chunked_membership_matches_one_pass(monkeypatch, make, dim):
+    K = make(dim)
+    resolution = 0.3 if dim == 4 else 0.13
+    whole = grid_points(K, resolution)
+    assert whole.shape[0] < oracle._GRID_CHUNK  # one chunk: the unchunked filter
+    monkeypatch.setattr(oracle, "_GRID_CHUNK", 7)
+    np.testing.assert_array_equal(grid_points(K, resolution), whole)

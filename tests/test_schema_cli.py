@@ -292,15 +292,41 @@ class TestCli:
         code, report, _ = _run(capsys, ["solve-gvi", "/nonexistent.json", "--quiet"])
         assert code == 2
 
-    def test_certify_attaches_the_oracle(self, capsys, tmp_path):
+    def test_certify_attaches_the_oracle(self, capsys, tmp_path, monkeypatch):
+        # the inner map is affine, so the gap is exact and no grid can refute it
+        grids = []
+        monkeypatch.setattr(cli, "brute_gap", lambda *args: grids.append(args))
         path = _write(tmp_path, _gvi_file_data())
         code, report, _ = _run(
             capsys, ["certify", path, "--resolution", "0.01", "--quiet"]
         )
         assert code == 0
         assert report["exit_status"] == "certified"
+        assert report["gap_kind"] == "exact"
+        assert report["oracle"] == {"skipped": "the gap is exact, so no grid can refute it"}
+        assert grids == []
+
+    def test_certify_runs_the_grid_gap_on_a_sampled_gap(self, capsys, tmp_path):
+        # a cube inner map with a cone image: neither K's minimizer applies
+        # (the map is not affine) nor the image's (a cone has none)
+        data = {
+            "version": "1",
+            "kind": "gvi",
+            "operators": {
+                "A": {"op": "affine", "matrix": [[2.0, 1.0], [1.0, 2.0]], "shift": [-1.0, -1.0]},
+                "a": {"op": "pointwise", "kind": "cube", "dim": 2},
+            },
+            "set": {"type": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+            "image_set": {"type": "cone", "generators": [[1.0, 0.0], [0.0, 1.0]]},
+            "seed": 4,
+        }
+        code, report, _ = _run(capsys, ["certify", _write(tmp_path, data), "--quiet"])
+        assert code == 0
+        assert report["exit_status"] == "certified"
+        assert report["gap_kind"] == "sampled"
         oracle = report["oracle"]
-        assert oracle["gap"] >= -1e-4
+        assert oracle["resolution"] == 0.05
+        assert -1e-6 <= oracle["gap"] <= 0.0
         assert oracle["refutes"] is False
 
     def test_tol_override_can_force_refutation(self, capsys, tmp_path):
@@ -506,6 +532,19 @@ class TestOutputDimensions:
         assert report["error"]["pointer"] == f"/operators/{name}"
         assert "output dimension 3" in report["error"]["message"]
         assert "Traceback" not in err
+
+
+def test_complementarity_g_must_map_into_the_cone(capsys, tmp_path):
+    # T and g map [0, 1]^2 into R^3 while the cone lies in R^2
+    data = _tall_output_file("complementarity")
+    data["operators"]["g"] = copy.deepcopy(_TALL)
+    assert validate(data)[0]["pointer"] == "/operators/g"
+    code, report, err = _run(capsys, ["certify", _write(tmp_path, data)])
+    assert code == 2
+    assert report["exit_status"] == "schema_error"
+    assert report["error"]["pointer"] == "/operators/g"
+    assert "cone dimension 2" in report["error"]["message"]
+    assert "Traceback" not in err
 
 
 class TestAffineExpressions:
