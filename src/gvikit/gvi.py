@@ -13,8 +13,9 @@ deterministic multistart) behind a per-solve fiber cache.  It also holds
 the end-to-end solver and ``certify``: the gap, pullback, coincidence
 and complementarity residuals of a solve and the one rule that certifies
 it for every problem kind.  The gap is a linear minimization, exact
-through ``ConvexSet.linear_min`` wherever K or the declared image has a
-minimizer, and sampled only where neither has one.
+through ``ConvexSet.linear_min`` wherever K (for an affine inner map) or
+a declared image that passed the image check has a minimizer, and
+sampled otherwise.
 """
 
 from __future__ import annotations
@@ -238,9 +239,11 @@ class ReducedOperator:
 class GviProblem:
     """Problem data for ``VI(A, a, K)`` plus the declared image of ``a``.
 
-    ``image_aK`` must describe ``a(K)``; construction samples K and warns
-    when a mapped point falls outside the declared image, since a wrong
-    image silently changes the problem being solved.
+    ``image_aK`` must describe ``a(K)``; construction maps a fixed sample
+    of K, plus K's vertices when ``a`` is not affine, and warns when a
+    mapped point falls outside the declared image, since a wrong image
+    silently changes the problem being solved.  ``image_miss`` keeps the
+    largest distance found.
     """
 
     A: OperatorExpr
@@ -249,13 +252,20 @@ class GviProblem:
     image_aK: ConvexSet
     params: SolverParams = field(default_factory=SolverParams)
     inversion: InversionParams = field(default_factory=InversionParams)
+    image_miss: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.A.in_dim != self.K.dim or self.a.in_dim != self.K.dim:
             raise DimensionMismatch("operator input dimensions must match K")
         if self.image_aK.dim != self.a.out_dim:
             raise DimensionMismatch("image set dimension must match the range of a")
-        worst, witness = _image_miss(self.a, self.K, self.image_aK, _IMAGE_CHECK_SEED)
+        # only a map with no affine form has its gap minimized over the
+        # declared image, a lower bound only if it holds a(K) up to K's vertices
+        worst, witness = _image_miss(
+            self.a, self.K, self.image_aK, _IMAGE_CHECK_SEED,
+            vertices=self.a.affine_form() is None,
+        )
+        self.image_miss = worst
         if worst > IMAGE_TOL:
             warnings.warn(
                 f"declared image misses a(x) by {worst:.3e} at x={witness.tolist()}",
@@ -264,15 +274,25 @@ class GviProblem:
             )
 
 
-def _image_miss(a, K, image, seed, samples=_IMAGE_CHECK_SAMPLES):
+def _image_miss(a, K, image, seed, samples=_IMAGE_CHECK_SAMPLES, vertices=False):
     """``(worst, witness)``: the largest sampled distance of ``a(x)`` from ``image``.
 
-    Samples K with a fixed seed; ``(0.0, None)`` when K cannot be sampled.
+    Samples K with a fixed seed and, with ``vertices``, also maps K's
+    vertices when it enumerates them; ``(0.0, None)`` when there is no point.
     """
+    rows = []
     try:
-        pts = np.atleast_2d(K.sample(np.random.default_rng(seed), samples))
+        rows.append(np.atleast_2d(K.sample(np.random.default_rng(seed), samples)))
     except (UnsupportedVariant, NonConvergence):
+        pass
+    if vertices:
+        try:
+            rows.append(np.asarray(K.vertices(), dtype=float).reshape(-1, K.dim))
+        except (UnsupportedVariant, DimensionTooLarge):
+            pass
+    if not rows:
         return 0.0, None
+    pts = np.concatenate(rows)
     dist = _exact_distances(image, np.asarray(a(pts), dtype=float))
     i = int(np.argmax(np.nan_to_num(dist)))  # a NaN distance never decides
     return (float(dist[i]), pts[i]) if dist[i] > 0.0 else (0.0, None)
@@ -290,14 +310,16 @@ def _linear_minimizer(problem):
 
     For an affine ``a = M y + c`` the pairing is ``<M^T gx, y>`` plus a
     constant, so K's own minimizer maps to one of ``a(K)``.  Otherwise the
-    declared image, which contains ``a(K)``, gives a lower bound.  None
-    when neither set overrides ``ConvexSet.linear_min``.
+    declared image gives a lower bound only if it contains ``a(K)``, so it
+    is used only when the construction's image check found no miss.  None
+    when neither applies or the set does not override ``ConvexSet.linear_min``.
     """
     form = problem.a.affine_form()
     if form is not None and type(problem.K).linear_min is not ConvexSet.linear_min:
         return lambda gx: problem.a(problem.K.linear_min(form[0].T @ gx))
-    if type(problem.image_aK).linear_min is not ConvexSet.linear_min:
-        return problem.image_aK.linear_min
+    image = problem.image_aK
+    if problem.image_miss <= IMAGE_TOL and type(image).linear_min is not ConvexSet.linear_min:
+        return image.linear_min
     return None
 
 
@@ -305,8 +327,8 @@ def gvi_gap(problem, x, probes=None):
     """``min <A(x), a(y) - a(x)>`` over y in K; solutions score ~0.
 
     By default the minimum is exact through ``_linear_minimizer``, or a
-    lower bound over the declared image, so a value of at least ``-tol``
-    certifies x.  Where no set has a minimizer, and for explicit
+    lower bound over a declared image that passed the image check, so a
+    value of at least ``-tol`` certifies x.  Otherwise, and for explicit
     ``probes``, it runs over a finite probe set plus x itself: a markedly
     negative value refutes x, a near-zero one certifies it only against
     those probes.
@@ -343,8 +365,8 @@ def _probe_matrix(probes, dim):
 def default_gap_probes(K, n_samples=_PROBE_SAMPLES, seed=_PROBE_SEED):
     """The vertices of K when enumerable, then a fixed-seed sample of K.
 
-    ``gvi_gap`` probes these only when neither K nor the declared image
-    has a linear minimizer.
+    ``gvi_gap`` probes these only when ``_linear_minimizer`` finds no
+    exact route.
     """
     probes = []
     try:

@@ -349,8 +349,9 @@ def validate(data):
     """Diagnostics for a problem file without running it.
 
     Returns a list of ``{"severity", "pointer", "message"}`` entries:
-    schema violations as errors, plus sampled image-consistency warnings
-    for kinds that declare an image set.
+    schema violations as errors, plus image-consistency warnings for kinds
+    that declare an image set, over a sample of the set and, for an inner
+    map that is not affine, its vertices, as ``GviProblem`` checks them.
     """
     diagnostics = []
     try:
@@ -365,7 +366,10 @@ def validate(data):
     if inner_name:
         base = problem.domain if problem.kind == "complementarity" else problem.feasible_set
         inner = problem.operators[inner_name]
-        worst, witness = _image_miss(inner, base, problem.image_set, problem.seed)
+        worst, witness = _image_miss(
+            inner, base, problem.image_set, problem.seed,
+            vertices=inner.affine_form() is None,
+        )
         if worst > IMAGE_TOL:
             message = (
                 f"declared image misses {inner_name}(x) by {worst:.3e} at x={witness.tolist()}"

@@ -1,6 +1,7 @@
 """Reduction pipeline: preimage selection, reduced solves, complementarity."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -353,6 +354,53 @@ class TestComplementarity:
         parsed = json.loads(json.dumps(rep.to_dict()))
         assert parsed["ok"] is True
         assert set(parsed["slacks"]) == {"membership", "polar", "orthogonality"}
+
+
+class TestCertifyProofProbe:
+    """The coincidence proof probe ``g^{-1}(f(x))`` joins only a sampled gap."""
+
+    K = Box(np.zeros(2), np.ones(2))
+    CUBE = PointwiseNonlinear("cube", 2)
+    F = Constant(np.array([0.125, 0.125]), in_dim=2)  # g = f at (0.5, 0.5)
+    X = np.array([0.8, 0.3])  # off the coincidence point
+
+    def _certify_off_solution(self, image, monkeypatch):
+        """``(report, certificate, select_preimage calls)`` at ``X``."""
+        problem = GviProblem(A=Difference(self.CUBE, self.F), a=self.CUBE, K=self.K, image_aK=image)
+        rep = solve_gvi(problem)
+        rep = replace(rep, solution=self.X, gap_certificate=gvi_gap(problem, self.X))
+        calls = []
+        real = gvi_module.select_preimage
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gvi_module, "select_preimage", spy)
+        return rep, certify(problem, rep, pair=(self.F, self.CUBE)), calls
+
+    def _probe_value(self):
+        # A(X) = g(X) - f(X) and g(probe) = f(X), so the probe scores -|g(X) - f(X)|^2
+        miss = self.CUBE(self.X) - self.F(self.X)
+        return -float(miss @ miss)
+
+    def test_a_sampled_gap_takes_the_probe(self, monkeypatch):
+        # a cone image has no minimizer; with the default probes emptied the
+        # sampled gap reads 0 and only the probe can price X
+        monkeypatch.setattr(gvi_module, "default_gap_probes", lambda K: [])
+        rep, cert, calls = self._certify_off_solution(PolyhedralCone(np.eye(2)), monkeypatch)
+        assert rep.gap_kind == "sampled"
+        assert rep.gap_certificate == 0.0
+        assert len(calls) == 1
+        assert cert.residuals["gap"] == pytest.approx(self._probe_value(), rel=1e-6)
+        assert not cert.certified
+
+    def test_an_exact_gap_skips_the_probe(self, monkeypatch):
+        rep, cert, calls = self._certify_off_solution(Box(np.zeros(2), np.ones(2)), monkeypatch)
+        assert rep.gap_kind == "exact"
+        assert calls == []
+        assert cert.residuals["gap"] == rep.gap_certificate
+        assert cert.residuals["gap"] <= self._probe_value()
 
 
 class TestSelectionIndependence:

@@ -2,8 +2,9 @@
 
 The gap ``min_{y in K} <A(x), a(y) - a(x)>`` is a linear minimization, so
 on every bounded set variant it is computed through
-``ConvexSet.linear_min`` rather than over sampled probes.  These cases
-are ones a sampled gap scores ``0.0`` and so certifies.
+``ConvexSet.linear_min`` rather than over sampled probes.  Most cases
+are ones a sampled gap scores ``0.0`` and so certifies; the last ones
+pin that a declared image that misses ``a(K)`` never stands in for it.
 """
 
 import json
@@ -28,6 +29,8 @@ from gvikit import (
     gvi_gap,
 )
 from gvikit.cli import main
+from gvikit.gvi import ImageConsistencyWarning
+from gvikit.schema import validate
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -125,3 +128,32 @@ def test_cube_ladder_rung_with_a_shrunken_step_is_not_certified(capsys):
     assert report["exit_status"] != "certified"
     assert report["gap_kind"] == "exact"
     assert report["residuals"]["gap"] == pytest.approx(-2.57e-5, rel=1e-2)
+
+
+@pytest.mark.parametrize("upper", [0.5, 0.999])
+def test_a_declared_image_that_misses_a_of_K_is_not_minimized_over(capsys, tmp_path, upper):
+    # a(x) = x^3 maps [0, 1] onto [0, 1], past the declared image [0, upper].
+    # With A = -1 the reduced solve stops at u = upper, which y = 1 prices
+    # at upper - 1; at 0.999 only the vertex y = 1 maps past the image.
+    data = {
+        "version": "1",
+        "kind": "gvi",
+        "operators": {
+            "A": {"op": "constant", "value": [-1.0], "in_dim": 1},
+            "a": {"op": "pointwise", "kind": "cube", "dim": 1},
+        },
+        "set": {"type": "box", "lower": [0.0], "upper": [1.0]},
+        "image_set": {"type": "box", "lower": [0.0], "upper": [upper]},
+        "seed": 3,
+    }
+    assert [d["pointer"] for d in validate(data)] == ["/image_set"]
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(data))
+    with pytest.warns(ImageConsistencyWarning):
+        code = main(["certify", str(path), "--quiet"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["exit_status"] != "certified"
+    assert report["residuals"]["gap"] == pytest.approx(upper - 1.0, abs=1e-6)
+    assert report["gap_kind"] == "sampled"
+    assert report["oracle"]["refutes"] is True
