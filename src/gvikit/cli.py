@@ -38,6 +38,7 @@ from .operators import (
     check_fiber_condition,
     check_monotone_relative,
     check_ql,
+    proven_report,
 )
 from .oracle import brute_coincidence, brute_gap
 from .schema import check_tolerance, parse_problem, validate
@@ -133,7 +134,12 @@ def _entry(report):
 
 
 def _battery(problem, gvi_problem, pair):
-    """The kind's hypothesis checks, as report entries marked load-bearing or not."""
+    """The kind's hypothesis checks, as report entries marked load-bearing or not.
+
+    An inner map with a closed-form inverse has ``ql`` and the fiber
+    condition proven: an affine map sends segments to segments, and an
+    injective one has one-point fibers.
+    """
     cfg = _check_cfg(problem)
     A, a, K = gvi_problem.A, gvi_problem.a, gvi_problem.K
     if pair is not None:
@@ -149,10 +155,12 @@ def _battery(problem, gvi_problem, pair):
     elif problem.kind == "vi":
         reports = [_monotone_report(A, a, K, cfg)]
     else:
+        invertible = a.inverse() is not None
         reports = [
             _monotone_report(A, a, K, cfg),
-            check_ql(a, K, cfg),
-            check_fiber_condition(A, a, K, cfg, problem.inversion),
+            proven_report("ql") if invertible else check_ql(a, K, cfg),
+            proven_report("fiber_condition") if invertible
+            else check_fiber_condition(A, a, K, cfg, problem.inversion),
         ]
     return [_entry(report) for report in reports]
 
@@ -183,11 +191,12 @@ def _oracle_section(gvi_problem, pair, solution, resolution, gap_tol, gap_kind):
 
     A coincidence pair gets the grid point of least residual.  Otherwise
     the grid gap runs only when the certificate's gap is sampled: an exact
-    gap is already at most the minimum over any grid in K, so a grid
-    cannot refute what it accepts.
+    gap, or a lower bound on it, is already at most the minimum over any
+    grid in K, so a grid cannot refute what it accepts.
     """
-    if pair is None and gap_kind == "exact":
-        return {"skipped": "the gap is exact, so no grid can refute it"}
+    if pair is None and gap_kind != "sampled":
+        what = "exact" if gap_kind == "exact" else "a lower bound"
+        return {"skipped": f"the gap is {what}, so no grid can refute it"}
     try:
         if pair is None:
             gap = brute_gap(gvi_problem.A, gvi_problem.a, gvi_problem.K, solution, resolution)
@@ -228,6 +237,7 @@ def run_problem(problem, certify=False, resolution=None, tol=None):
         "problem": problem.raw,
         "solution": None,
         "reduced_solution": None,
+        "reduction": None,
         "residuals": {},
         "gap_kind": None,
         "iterations": 0,
@@ -258,6 +268,7 @@ def run_problem(problem, certify=False, resolution=None, tol=None):
         converged, certified, refutation = rep.converged, cert.certified, cert.refutation
         report["solution"] = rep.solution
         report["reduced_solution"] = rep.reduced_solution
+        report["reduction"] = rep.reduction
         report["residuals"] = cert.residuals
         report["gap_kind"] = rep.gap_kind
         report["iterations"] = rep.iterations

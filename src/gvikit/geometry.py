@@ -344,7 +344,12 @@ class Simplex(ConvexSet):
         return np.eye(self.dim)[int(np.argmin(as_vector(g, self.dim, "g")))]
 
     def _distance_batch(self, pts):
-        return np.linalg.norm(pts - _simplex_project_rows(pts), axis=1)
+        # the distances to the hyperplane sum(x) = 1 and to the orthant
+        # bound the distance from below; only rows near the set are projected
+        out = np.maximum(np.abs(pts.sum(axis=1) - 1.0) / math.sqrt(self.dim), np.max(-pts, axis=1))
+        near = out <= 10 * CONTAINS_TOL
+        out[near] = np.linalg.norm(pts[near] - _simplex_project_rows(pts[near]), axis=1)
+        return out
 
     def to_dict(self):
         return {"type": "simplex", "dim": self.dim}

@@ -1,21 +1,22 @@
-"""General variational inequalities solved through image-space reduction.
+"""General variational inequalities: one x-space path and one image path.
 
 The problem: find x in K with ``<A(x), a(y) - a(x)> >= 0`` for all y in K.
-Writing u = a(x) turns this into a Stampacchia inequality for the reduced
-operator ``A o b`` on ``a(K)``, where b picks one preimage per image
-point.  When ``a`` is affine with a nonsingular matrix (any expression
-whose ``affine_form()`` exists: the identity, an ``Affine``, a
-``Rotation``, or a ``Scale``, ``Sum`` or ``Compose`` of affine maps), b is
-its closed-form inverse and the reduced operator is the expression
-``A o a^{-1}``, evaluated with no preimage search.  For other maps this
-module supplies the preimage selection (projected Gauss-Newton with
-deterministic multistart) behind a per-solve fiber cache.  It also holds
-the end-to-end solver and ``certify``: the gap, pullback, coincidence
-and complementarity residuals of a solve and the one rule that certifies
-it for every problem kind.  The gap is a linear minimization, exact
-through ``ConvexSet.linear_min`` wherever K (for an affine inner map) or
-a declared image that passed the image check has a minimizer, and
-sampled otherwise.
+When ``a`` is affine, ``a(x) = M x + c`` (any expression whose
+``affine_form()`` exists: the identity, an ``Affine``, a ``Rotation``, or
+a ``Scale``, ``Sum`` or ``Compose`` of affine maps, with M of any rank or
+shape), the pairing is ``<M^T A(x), y - x>``, so the problem is the plain
+inequality ``VI(M^T A, K)`` on K itself, solved with no inversion and no
+image set.  For any other map, writing u = a(x) turns the problem into a
+Stampacchia inequality for the reduced operator ``A o b`` on the declared
+image of ``a``, where b picks one preimage per image point; this module
+supplies that selection (projected Gauss-Newton with deterministic
+multistart) behind a per-solve fiber cache.  It also holds ``certify``:
+the gap, pullback, coincidence and complementarity residuals of a solve
+and the one rule that certifies it for every problem kind.  The gap is a
+linear minimization: exact through ``ConvexSet.linear_min`` for an
+affine map, a lower bound over the interval enclosure of ``a`` on K's
+bounding box for any other (exact where that box is ``a(K)``), and
+sampled only when K has neither (a cone).
 """
 
 from __future__ import annotations
@@ -34,8 +35,15 @@ from .errors import (
     NonConvergence,
     UnsupportedVariant,
 )
-from .geometry import ConvexSet, PolyhedralCone, _exact_distances, as_vector
-from .operators import Compose, OperatorExpr, _verdict, jacobian_fd
+from .geometry import Box, ConvexSet, PolyhedralCone, _exact_distances, as_vector
+from .operators import (
+    Affine,
+    Compose,
+    OperatorExpr,
+    _verdict,
+    jacobian_fd,
+    proven_report,
+)
 from .vi import SolveReport, SolverParams, solve_extragradient
 
 GAP_TOL = 1e-6
@@ -182,15 +190,13 @@ def preimage_candidates(a, K, u, inv=None, dedup_tol=1e-6):
 
 
 class ReducedOperator:
-    """``u -> A(b(u))``, in closed form when ``a`` has a closed-form inverse.
+    """``u -> A(b(u))`` for an inner map ``a`` with no affine form.
 
-    A nonsingular affine ``a`` makes the operator
-    ``Compose(A, a.inverse())``, evaluated without any preimage search.
-    Other maps select b(u) numerically: representatives are cached per
-    exact image point, and a search warm-starts from the most recent
+    b(u) is selected numerically: representatives are cached per exact
+    image point, and a search warm-starts from the most recent
     representative so the selection does not hop between fibers while a
-    solver walks the image set.  ``representative`` always takes the
-    search path.  Instances are meant to live for a single solve.
+    solver walks the image set.  Instances are meant to live for a
+    single solve.
     """
 
     def __init__(self, A, a, K, inversion=None):
@@ -202,8 +208,6 @@ class ReducedOperator:
         self.inversion = inversion if inversion is not None else InversionParams()
         self.in_dim = a.out_dim
         self.out_dim = A.out_dim
-        inverse = a.inverse()
-        self._closed_form = None if inverse is None else Compose(A, inverse)
         self._cache = {}
         self._last = None
 
@@ -230,8 +234,9 @@ class ReducedOperator:
         return x
 
     def __call__(self, u):
-        if self._closed_form is not None:
-            return np.asarray(self._closed_form(u), dtype=float)
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 2:  # a batch, one image point per row
+            return np.array([self(row) for row in u]).reshape(-1, self.out_dim)
         return np.asarray(self.A(self.representative(u)), dtype=float)
 
 
@@ -241,9 +246,8 @@ class GviProblem:
 
     ``image_aK`` must describe ``a(K)``; construction maps a fixed sample
     of K, plus K's vertices when ``a`` is not affine, and warns when a
-    mapped point falls outside the declared image, since a wrong image
-    silently changes the problem being solved.  ``image_miss`` keeps the
-    largest distance found.
+    mapped point falls outside the declared image, since for a map with
+    no affine form a wrong image silently changes the problem being solved.
     """
 
     A: OperatorExpr
@@ -252,20 +256,18 @@ class GviProblem:
     image_aK: ConvexSet
     params: SolverParams = field(default_factory=SolverParams)
     inversion: InversionParams = field(default_factory=InversionParams)
-    image_miss: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.A.in_dim != self.K.dim or self.a.in_dim != self.K.dim:
             raise DimensionMismatch("operator input dimensions must match K")
         if self.image_aK.dim != self.a.out_dim:
             raise DimensionMismatch("image set dimension must match the range of a")
-        # only a map with no affine form has its gap minimized over the
-        # declared image, a lower bound only if it holds a(K) up to K's vertices
+        # only a map with no affine form is solved on the declared image,
+        # so only there do K's vertices join the check
         worst, witness = _image_miss(
             self.a, self.K, self.image_aK, _IMAGE_CHECK_SEED,
             vertices=self.a.affine_form() is None,
         )
-        self.image_miss = worst
         if worst > IMAGE_TOL:
             warnings.warn(
                 f"declared image misses a(x) by {worst:.3e} at x={witness.tolist()}",
@@ -303,32 +305,42 @@ class GviSolveReport(SolveReport):
     reduced_solution: Optional[np.ndarray] = None
     pullback_residual: float = 0.0
     gap_kind: str = "sampled"
+    reduction: str = "image"
 
 
 def _linear_minimizer(problem):
-    """``gx -> argmin <gx, u>`` over ``a(K)`` in closed form, or None.
+    """``(gx -> argmin <gx, u>, gap_kind)`` over a set holding ``a(K)``.
 
     For an affine ``a = M y + c`` the pairing is ``<M^T gx, y>`` plus a
-    constant, so K's own minimizer maps to one of ``a(K)``.  Otherwise the
-    declared image gives a lower bound only if it contains ``a(K)``, so it
-    is used only when the construction's image check found no miss.  None
-    when neither applies or the set does not override ``ConvexSet.linear_min``.
+    constant, so K's own minimizer maps to one of ``a(K)``: the gap is
+    ``"exact"``.  Any other map minimizes over the box that
+    ``a.enclosure`` gives on K's bounding box, which holds ``a(K)``: the
+    gap is ``"exact"`` where that box is ``a(K)`` (K a Box and
+    ``a.exact_enclosure()``) and a lower bound, ``"bound"``, otherwise.
+    ``(None, "sampled")`` when K has no linear minimizer (for an affine
+    map), no bounding box, or the enclosure overflows.
     """
-    form = problem.a.affine_form()
-    if form is not None and type(problem.K).linear_min is not ConvexSet.linear_min:
-        return lambda gx: problem.a(problem.K.linear_min(form[0].T @ gx))
-    image = problem.image_aK
-    if problem.image_miss <= IMAGE_TOL and type(image).linear_min is not ConvexSet.linear_min:
-        return image.linear_min
-    return None
+    a, K = problem.a, problem.K
+    form = a.affine_form()
+    if form is not None:
+        if type(K).linear_min is ConvexSet.linear_min:
+            return None, "sampled"
+        return (lambda gx: a(K.linear_min(form[0].T @ gx))), "exact"
+    try:
+        lo, hi = a.enclosure(*K.bounding_box())
+    except UnsupportedVariant:
+        return None, "sampled"
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        return None, "sampled"
+    return Box(lo, hi).linear_min, "exact" if isinstance(K, Box) and a.exact_enclosure() else "bound"
 
 
 def gvi_gap(problem, x, probes=None):
     """``min <A(x), a(y) - a(x)>`` over y in K; solutions score ~0.
 
     By default the minimum is exact through ``_linear_minimizer``, or a
-    lower bound over a declared image that passed the image check, so a
-    value of at least ``-tol`` certifies x.  Otherwise, and for explicit
+    lower bound over an enclosure of ``a(K)``, so a value of at least
+    ``-tol`` certifies x.  Otherwise, and for explicit
     ``probes``, it runs over a finite probe set plus x itself: a markedly
     negative value refutes x, a near-zero one certifies it only against
     those probes.
@@ -336,7 +348,7 @@ def gvi_gap(problem, x, probes=None):
     x = as_vector(x, problem.K.dim, "x")
     ax = np.asarray(problem.a(x), dtype=float)
     gx = np.asarray(problem.A(x), dtype=float)
-    minimizer = _linear_minimizer(problem) if probes is None else None
+    minimizer = _linear_minimizer(problem)[0] if probes is None else None
     if minimizer is not None:
         # y = x scores 0, so the minimum is never positive
         return min(0.0, float((np.asarray(minimizer(gx), dtype=float) - ax) @ gx))
@@ -366,7 +378,7 @@ def default_gap_probes(K, n_samples=_PROBE_SAMPLES, seed=_PROBE_SEED):
     """The vertices of K when enumerable, then a fixed-seed sample of K.
 
     ``gvi_gap`` probes these only when ``_linear_minimizer`` finds no
-    exact route.
+    minimizer.
     """
     probes = []
     try:
@@ -381,46 +393,58 @@ def default_gap_probes(K, n_samples=_PROBE_SAMPLES, seed=_PROBE_SEED):
     return probes
 
 
-def solve_gvi(problem, x0=None, record_history=False):
-    """Reduce to the image set, solve there, and pull the solution back.
+def _x_space_operator(A, m):
+    """``x -> M^T A(x)``, affine in closed form when A is."""
+    form = A.affine_form()
+    if form is not None:
+        return Affine(m.T @ form[0], m.T @ form[1])
+    return Compose(Affine(m.T), A)
 
-    The reduced inequality is solved with the extragradient method; the
-    reported solution is the preimage of the reduced solution that
-    ``ReducedOperator.representative`` selects (the projected closed-form
-    inverse when ``a`` has one), so ``a(x) = u`` holds up to the inversion
-    tolerance, and the gap certificate is evaluated on the original problem;
-    ``gap_kind`` records whether that gap is exact or sampled.
+
+def solve_gvi(problem, x0=None, record_history=False):
+    """Solve the inequality with the extragradient method and certify its gap.
+
+    An inner map with an affine form ``(M, c)`` takes the x-space path,
+    ``reduction = "x_space"``: the solve runs on K for ``VI(M^T A, K)``,
+    ``x0`` is a point of K, and the reduced solution ``a(x*)`` has a
+    pullback residual of 0.  Any other map takes the image path,
+    ``reduction = "image"``: the solve runs on the declared image for
+    ``ReducedOperator``, ``x0`` is a point of that image, and the solution
+    is the preimage of the reduced solution that
+    ``ReducedOperator.representative`` selects, so ``a(x) = u`` holds up
+    to the inversion tolerance.  The gap certificate is evaluated on the
+    original problem; ``gap_kind`` records whether it is exact, a lower
+    bound or sampled.
     """
-    reduced = ReducedOperator(problem.A, problem.a, problem.K, problem.inversion)
+    form = problem.a.affine_form()
+    if form is not None:
+        operator, space, reduction = _x_space_operator(problem.A, form[0]), problem.K, "x_space"
+    else:
+        operator = ReducedOperator(problem.A, problem.a, problem.K, problem.inversion)
+        space, reduction = problem.image_aK, "image"
     rep = solve_extragradient(
-        reduced,
-        problem.image_aK,
-        problem.params,
-        x0=x0,
-        record_history=record_history,
+        operator, space, problem.params, x0=x0, record_history=record_history
     )
-    u_star = rep.solution
-    try:
-        x_star = reduced.representative(u_star)
-    except InversionFailed as err:
-        # u* lies in the declared image but outside a(K): report the
-        # nearest point found, whose pullback residual fails ``certify``
-        if err.best_point is None:
-            raise
-        x_star = err.best_point
+    if form is not None:
+        x_star = rep.solution
+        u_star = np.asarray(problem.a(x_star), dtype=float)
+    else:
+        # the solver evaluated the operator at its solution, so this is a cache hit
+        u_star = rep.solution
+        x_star = operator.representative(u_star)
     pullback = float(np.linalg.norm(np.asarray(problem.a(x_star), dtype=float) - u_star))
-    gap = gvi_gap(problem, x_star)
     return GviSolveReport(
         solution=x_star,
         residual=rep.residual,
         iterations=rep.iterations,
         converged=rep.converged,
         step_used=rep.step_used,
-        gap_certificate=gap,
+        gap_certificate=gvi_gap(problem, x_star),
         history=rep.history,
         reduced_solution=u_star,
         pullback_residual=pullback,
-        gap_kind="sampled" if _linear_minimizer(problem) is None else "exact",
+        gap_kind=_linear_minimizer(problem)[1],
+        reduction=reduction,
     )
 
 
@@ -553,8 +577,12 @@ def check_selection_independence(problem, x, inversion=None, tol=1e-6):
 
     Every alternative preimage y of ``a(x)`` reachable by the multistart
     search must carry the same operator value and must itself pass the gap
-    certificate, otherwise the report carries (x, y) as a witness.
+    certificate, otherwise the report carries (x, y) as a witness.  An
+    inner map with a closed-form inverse has one preimage per point, so
+    the property is proven without a search.
     """
+    if problem.a.inverse() is not None:
+        return proven_report("selection_independence")
     inv = inversion if inversion is not None else problem.inversion
     x = as_vector(x, problem.K.dim, "x")
     u = np.asarray(problem.a(x), dtype=float)

@@ -8,7 +8,9 @@ oracle vectorized.  Every node also answers one structure query,
 the isometry test and the image of a polytope derive from it, so any
 affine expression (a ``Rotation``, a ``Scale``, ``Sum`` or ``Compose`` of
 affine maps) takes the closed-form paths, not only ``Identity`` and
-``Affine``.
+``Affine``.  ``enclosure(lo, hi)`` bounds a node's values on a box by
+interval arithmetic, and ``exact_enclosure()`` says when that bound is
+the image itself.
 
 The ``check_*`` functions probe inequalities on randomized samples from a
 compact set and return a ``PropertyReport``.  Each draws its samples from
@@ -16,7 +18,8 @@ its seed in a fixed order, evaluates every operator once on the stacked
 samples (batch evaluation), and hands the violation of each sample to one
 verdict rule.  A sampled check can refute a property (with a reproducible
 witness) but can only report that it held on the samples; ``proven`` is
-reserved for the analytic affine test.
+reserved for properties decided in closed form (``affine_relative_monotone``
+and ``proven_report``).
 """
 
 from __future__ import annotations
@@ -85,6 +88,31 @@ class OperatorExpr:
         """The exact image polytope of K (``affine_image_polytope``) for an affine map, else None."""
         form = self.affine_form()
         return None if form is None else affine_image_polytope(K, *form)
+
+    def enclosure(self, lo, hi):
+        """``(l, u)`` with ``l <= self(x) <= u`` for every x in the box ``[lo, hi]``.
+
+        Interval arithmetic: an affine form maps the box's center and
+        radius as ``c + M mid +- |M| rad``; the nodes with no affine form
+        override this and combine their children's intervals.
+        """
+        m, c = self.affine_form()
+        mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        center, spread = m @ mid + c, np.abs(m) @ rad
+        return center - spread, center + spread
+
+    def exact_enclosure(self):
+        """Whether ``enclosure`` of a box is exactly the image of that box.
+
+        True for an affine form with at most one nonzero per row and per
+        column: every output is a multiple of its own input, so the
+        image is a box.
+        """
+        form = self.affine_form()
+        nonzero = None if form is None else form[0] != 0.0
+        return nonzero is not None and bool(
+            np.all(nonzero.sum(axis=0) <= 1) and np.all(nonzero.sum(axis=1) <= 1)
+        )
 
     def to_dict(self):
         raise NotImplementedError
@@ -223,6 +251,20 @@ class PointwiseNonlinear(OperatorExpr):
     def lipschitz_bound(self):
         return _POINTWISE[self.kind][1]
 
+    def enclosure(self, lo, hi):
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        fn = _POINTWISE[self.kind][0]
+        flo, fhi = fn(lo), fn(hi)
+        if self.kind != "square":
+            # cube, tanh and sigmoid increase, so endpoints map to endpoints
+            return flo, fhi
+        straddles = (lo <= 0.0) & (hi >= 0.0)
+        return np.where(straddles, 0.0, np.minimum(flo, fhi)), np.maximum(flo, fhi)
+
+    def exact_enclosure(self):
+        # each output is a continuous function of its own input alone
+        return True
+
     def to_dict(self):
         return {"op": "pointwise", "kind": self.kind, "dim": self.in_dim}
 
@@ -244,6 +286,13 @@ class Scale(OperatorExpr):
     def affine_form(self):
         form = self.inner.affine_form()
         return None if form is None else (self.factor * form[0], self.factor * form[1])
+
+    def enclosure(self, lo, hi):
+        l, u = self.inner.enclosure(lo, hi)
+        return np.minimum(self.factor * l, self.factor * u), np.maximum(self.factor * l, self.factor * u)
+
+    def exact_enclosure(self):
+        return self.inner.exact_enclosure()
 
     def to_dict(self):
         return {"op": "scale", "factor": self.factor, "inner": self.inner.to_dict()}
@@ -271,6 +320,13 @@ class _Binary(OperatorExpr):
     def affine_form(self):
         a, b = self.left.affine_form(), self.right.affine_form()
         return None if a is None or b is None else (a[0] + self._sign * b[0], a[1] + self._sign * b[1])
+
+    def enclosure(self, lo, hi):
+        if self.affine_form() is not None:
+            # the combined form is tighter: x - x encloses to 0
+            return super().enclosure(lo, hi)
+        (l1, u1), (l2, u2) = self.left.enclosure(lo, hi), self.right.enclosure(lo, hi)
+        return (l1 + l2, u1 + u2) if self._sign > 0 else (l1 - u2, u1 - l2)
 
     def to_dict(self):
         return {"op": self._tag, "left": self.left.to_dict(), "right": self.right.to_dict()}
@@ -309,6 +365,15 @@ class Compose(OperatorExpr):
     def affine_form(self):
         a, b = self.outer.affine_form(), self.inner.affine_form()
         return None if a is None or b is None else (a[0] @ b[0], a[0] @ b[1] + a[1])
+
+    def enclosure(self, lo, hi):
+        if self.affine_form() is not None:
+            return super().enclosure(lo, hi)
+        return self.outer.enclosure(*self.inner.enclosure(lo, hi))
+
+    def exact_enclosure(self):
+        # the inner image is a box, and the outer map is exact on it
+        return self.inner.exact_enclosure() and self.outer.exact_enclosure()
 
     def to_dict(self):
         return {"op": "compose", "outer": self.outer.to_dict(), "inner": self.inner.to_dict()}
@@ -392,6 +457,11 @@ class PropertyReport:
             "samples_used": self.samples_used,
             "max_violation": self.max_violation,
         }
+
+
+def proven_report(name):
+    """The report of a property that holds by its closed form, with no samples."""
+    return PropertyReport(name, "proven", None, 0, 0.0)
 
 
 def _draw(K, seed, n, points=2, segment=False):

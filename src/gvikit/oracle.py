@@ -24,7 +24,7 @@ ORACLE_MAX_DIM = 4
 GRID_POINT_CAP = 10_000_000
 _MEMBERSHIP_TOL = 1e-9
 # lattice rows filtered for membership at a time
-_GRID_CHUNK = 32_768
+_GRID_CHUNK = 8_192
 
 
 def grid_points(K, resolution):

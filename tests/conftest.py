@@ -26,8 +26,12 @@ def random_simplex(rng, dim):
 
 
 def random_hpolytope(rng, dim):
-    """Random cuts through a box; box facets keep the set bounded."""
-    k = int(rng.integers(2, 5))
+    """Random cuts through a box; box facets keep the set bounded.
+
+    In R^1 every unit normal is +-1, so one cut is all the parallel-pair
+    test admits there.
+    """
+    k = int(rng.integers(2, 5)) if dim > 1 else 1
     rows = []
     while len(rows) < k:
         n = rng.normal(size=dim)

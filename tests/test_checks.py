@@ -508,9 +508,22 @@ class TestVerdict:
         assert rep.max_violation == 0.0
 
     def test_selection_independence_without_alternative_preimages(self):
+        # the cube is injective but has no closed-form inverse, so the search
+        # runs and finds x itself only
         problem = GviProblem(
-            A=Affine([[1.0]], [-0.5]), a=Identity(1), K=SYM_BOX, image_aK=SYM_BOX
+            A=Affine([[1.0]], [-0.5]), a=PointwiseNonlinear("cube", 1), K=SYM_BOX, image_aK=SYM_BOX
         )
         rep = check_selection_independence(problem, np.array([0.5]))
         assert (rep.verdict, rep.witness, rep.samples_used) == ("holds_on_samples", None, 0)
         assert rep.max_violation == 0.0
+
+    def test_selection_independence_is_proven_for_an_invertible_map(self, monkeypatch):
+        monkeypatch.setattr(gvi_module, "preimage_candidates", None)  # never searched
+        problem = GviProblem(
+            A=Affine([[1.0]], [-0.5]), a=Affine([[2.0]], [0.1]), K=SYM_BOX,
+            image_aK=Box([-1.9], [2.1]),
+        )
+        rep = check_selection_independence(problem, np.array([0.5]))
+        assert (rep.verdict, rep.witness, rep.samples_used, rep.max_violation) == (
+            "proven", None, 0, 0.0
+        )

@@ -5,9 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_box, random_hpolytope, random_simplex
 
 from gvikit import gvi as gvi_module
-from gvikit.errors import DimensionMismatch, InversionFailed
+from gvikit.errors import DimensionMismatch, InversionFailed, UnsupportedVariant
 from gvikit.geometry import Ball, Box, HPolytope, PolyhedralCone, Simplex, affine_image_polytope
 from gvikit.gvi import (
     GviProblem,
@@ -356,17 +360,24 @@ class TestComplementarity:
         assert set(parsed["slacks"]) == {"membership", "polar", "orthogonality"}
 
 
+class _BoxWithoutBoundingBox(Box):
+    """A box that reports no bounding box, so no enclosure of ``a(K)`` exists."""
+
+    def bounding_box(self):
+        raise UnsupportedVariant("no bounding box")
+
+
 class TestCertifyProofProbe:
     """The coincidence proof probe ``g^{-1}(f(x))`` joins only a sampled gap."""
 
-    K = Box(np.zeros(2), np.ones(2))
+    IMAGE = Box(np.zeros(2), np.ones(2))
     CUBE = PointwiseNonlinear("cube", 2)
     F = Constant(np.array([0.125, 0.125]), in_dim=2)  # g = f at (0.5, 0.5)
     X = np.array([0.8, 0.3])  # off the coincidence point
 
-    def _certify_off_solution(self, image, monkeypatch):
+    def _certify_off_solution(self, K, monkeypatch):
         """``(report, certificate, select_preimage calls)`` at ``X``."""
-        problem = GviProblem(A=Difference(self.CUBE, self.F), a=self.CUBE, K=self.K, image_aK=image)
+        problem = GviProblem(A=Difference(self.CUBE, self.F), a=self.CUBE, K=K, image_aK=self.IMAGE)
         rep = solve_gvi(problem)
         rep = replace(rep, solution=self.X, gap_certificate=gvi_gap(problem, self.X))
         calls = []
@@ -385,10 +396,12 @@ class TestCertifyProofProbe:
         return -float(miss @ miss)
 
     def test_a_sampled_gap_takes_the_probe(self, monkeypatch):
-        # a cone image has no minimizer; with the default probes emptied the
-        # sampled gap reads 0 and only the probe can price X
+        # with no bounding box of K the cube has no enclosure; with the
+        # default probes emptied the sampled gap reads 0 and only the probe
+        # can price X
         monkeypatch.setattr(gvi_module, "default_gap_probes", lambda K: [])
-        rep, cert, calls = self._certify_off_solution(PolyhedralCone(np.eye(2)), monkeypatch)
+        K = _BoxWithoutBoundingBox(np.zeros(2), np.ones(2))
+        rep, cert, calls = self._certify_off_solution(K, monkeypatch)
         assert rep.gap_kind == "sampled"
         assert rep.gap_certificate == 0.0
         assert len(calls) == 1
@@ -397,7 +410,7 @@ class TestCertifyProofProbe:
 
     def test_an_exact_gap_skips_the_probe(self, monkeypatch):
         rep, cert, calls = self._certify_off_solution(Box(np.zeros(2), np.ones(2)), monkeypatch)
-        assert rep.gap_kind == "exact"
+        assert rep.gap_kind == "exact"  # the cube maps the box K onto its enclosure
         assert calls == []
         assert cert.residuals["gap"] == rep.gap_certificate
         assert cert.residuals["gap"] <= self._probe_value()
@@ -570,7 +583,7 @@ def _skew_operator():
 
 
 class TestClosedFormReduction:
-    """Identity and nonsingular affine ``a`` reduce to ``A o a^{-1}`` without inversion."""
+    """An affine ``a`` is solved as ``VI(M^T A, K)`` in x-space, with no inversion."""
 
     K = Box(-np.ones(3), np.ones(3))
     SHEAR = Affine(
@@ -593,22 +606,25 @@ class TestClosedFormReduction:
         return calls
 
     @pytest.mark.parametrize("a", [Identity(3), SHEAR], ids=["identity", "affine"])
-    def test_one_inversion_for_the_pullback(self, a, counts):
+    def test_no_inversion_inside_the_solve(self, a, counts):
         if isinstance(a, Identity):
             image = self.K
         else:
             image = affine_image_polytope(self.K, a.matrix, a.shift)
         rep = solve_gvi(GviProblem(A=_skew_operator(), a=a, K=self.K, image_aK=image))
         assert rep.converged
+        assert rep.reduction == "x_space"
         assert rep.gap_certificate >= -1e-6
-        assert counts == {"select_preimage": 1, "jacobian_fd": 0}
+        np.testing.assert_array_equal(rep.reduced_solution, a(rep.solution))
+        assert rep.pullback_residual == 0.0
+        assert counts == {"select_preimage": 0, "jacobian_fd": 0}
 
     def test_cube_keeps_gauss_newton(self, counts):
         a = PointwiseNonlinear("cube", 3)
         problem = GviProblem(
             A=_skew_operator(), a=a, K=self.K, image_aK=self.K, params=SolverParams(max_iter=3)
         )
-        solve_gvi(problem)
+        assert solve_gvi(problem).reduction == "image"
         assert counts["select_preimage"] > 1
         assert counts["jacobian_fd"] > 0
 
@@ -629,30 +645,83 @@ class TestClosedFormReduction:
 
 
 class TestPullbackOutsideAK:
-    """A reduced solution in the declared image but outside a(K) has no preimage in K."""
+    """A = x - 1.5 on K = [-1, 1] has its zero at 1.5, outside K."""
 
-    @pytest.mark.parametrize(
-        "a, half_width, miss",
-        [(Identity(1), 2.0, 0.5), (Affine(2.0 * np.eye(1)), 3.0, 1.0)],
-        ids=["identity", "double"],
-    )
-    def test_solve_reports_the_miss(self, a, half_width, miss):
-        # the reduced operator vanishes at u* = a(1.5), outside a(K) = a([-1, 1]),
-        # so the pullback can only reach the nearest point x = 1
-        problem = GviProblem(
+    @staticmethod
+    def _problem(a, half_width):
+        return GviProblem(
             A=Affine(np.eye(1), np.array([-1.5])),
             a=a,
             K=Box(-np.ones(1), np.ones(1)),
             image_aK=Box(-half_width * np.ones(1), half_width * np.ones(1)),
         )
+
+    @pytest.mark.parametrize(
+        "a, half_width",
+        [(Identity(1), 2.0), (Affine(2.0 * np.eye(1)), 3.0)],
+        ids=["identity", "double"],
+    )
+    def test_affine_map_certifies_the_true_solution(self, a, half_width):
+        # solved on K itself, the declared image [-h, h] past a(K) plays no
+        # part: x = 1 is the solution, since A(1) = -0.5 points out of K
+        problem = self._problem(a, half_width)
         rep = solve_gvi(problem)
+        assert rep.reduction == "x_space"
         np.testing.assert_allclose(rep.solution, [1.0], atol=1e-12)
-        pullback = float(np.linalg.norm(a(rep.solution) - rep.reduced_solution))
-        assert rep.pullback_residual == pullback
-        assert rep.pullback_residual == pytest.approx(miss, abs=1e-7)
-        cert = certify(problem, rep)
-        assert not cert.certified
-        assert cert.residuals["pullback"] == rep.pullback_residual
+        np.testing.assert_array_equal(rep.reduced_solution, a(rep.solution))
+        assert rep.pullback_residual == 0.0
+        assert rep.gap_certificate == 0.0 and rep.gap_kind == "exact"
+        assert certify(problem, rep).certified
+
+    @pytest.mark.parametrize("half_width", [2.0, 3.0])
+    def test_cube_solve_reports_the_miss(self, half_width):
+        # on the image path the reduced operator vanishes at u = 1.5^3, past
+        # a(K) = [-1, 1]; the solver walks the declared image beyond a(K),
+        # where no preimage exists, and the search says how far it got
+        problem = self._problem(PointwiseNonlinear("cube", 1), half_width)
+        with pytest.raises(InversionFailed) as exc:
+            solve_gvi(problem)
+        assert exc.value.best_residual > problem.inversion.tol
+        assert problem.K.contains(exc.value.best_point)
+
+
+_X_SPACE_SETS = {"box": random_box, "simplex": random_simplex, "hpolytope": random_hpolytope}
+
+
+def _inner_matrix(rng, shape, dim):
+    """A nonsingular, a singular (rank dim - 1, zero in R^1) or a non-square M."""
+    if shape == "nonsingular":
+        return np.eye(dim) + 0.4 * rng.normal(size=(dim, dim)) / np.sqrt(dim)
+    if shape == "singular":
+        m, v = rng.normal(size=(dim, dim)), rng.normal(size=dim)
+        return m - np.outer(m @ v, v) / (v @ v)  # m v = 0
+    return rng.normal(size=(dim + 1, dim))
+
+
+@given(
+    kind=st.sampled_from(sorted(_X_SPACE_SETS)),
+    shape=st.sampled_from(["nonsingular", "singular", "non-square"]),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_affine_inner_maps_solve_in_x_space(kind, shape, dim, seed):
+    # A(x) = S a(x) + r with S + S^T positive definite is strongly monotone
+    # relative to a, so VI(M^T A, K) is a monotone VI on K
+    rng = np.random.default_rng(seed)
+    K = _X_SPACE_SETS[kind](rng, dim)
+    m = _inner_matrix(rng, shape, dim)
+    a = Affine(m, rng.normal(size=m.shape[0]))
+    skew = rng.normal(size=(m.shape[0], m.shape[0]))
+    s = np.eye(m.shape[0]) + 0.5 * (skew - skew.T)
+    A = Affine(s @ m, s @ a.shift + rng.normal(size=m.shape[0]))
+    image = Box(*a.enclosure(*K.bounding_box()))
+    rep = solve_gvi(GviProblem(A=A, a=a, K=K, image_aK=image))
+    assert rep.converged and rep.reduction == "x_space" and rep.gap_kind == "exact"
+    assert rep.gap_certificate >= -1e-6
+    # the gap is linear in a(y), so its minimum over K sits at a vertex
+    gx = A(rep.solution)
+    assert np.min((a(K.vertices()) - a(rep.solution)) @ gx) >= -1e-6
 
 
 class _KeyErrorSampling(Box):

@@ -253,6 +253,62 @@ _NODE_CLASSES = {
 }
 
 
+class TestEnclosure:
+    LO, HI = np.array([-1.0, 0.2]), np.array([0.5, 2.0])
+
+    @pytest.mark.parametrize(
+        "kind, lo, hi",
+        [
+            ("square", [0.0, 0.04], [1.0, 4.0]),
+            ("cube", [-1.0, 0.008], [0.125, 8.0]),
+            ("tanh", np.tanh([-1.0, 0.2]), np.tanh([0.5, 2.0])),
+        ],
+    )
+    def test_pointwise_maps_endpoints(self, kind, lo, hi):
+        got = PointwiseNonlinear(kind, 2).enclosure(self.LO, self.HI)
+        np.testing.assert_allclose(got, [lo, hi], rtol=1e-15)
+
+    def test_affine_form_maps_center_and_radius(self):
+        a = Affine([[1.0, -2.0], [0.0, 3.0]], [0.5, -1.0])
+        lo, hi = a.enclosure(self.LO, self.HI)
+        corners = np.array([[x, y] for x in (-1.0, 0.5) for y in (0.2, 2.0)])
+        np.testing.assert_allclose(lo, a(corners).min(axis=0), atol=1e-15)
+        np.testing.assert_allclose(hi, a(corners).max(axis=0), atol=1e-15)
+
+    def test_children_combine(self):
+        square, cube = PointwiseNonlinear("square", 2), PointwiseNonlinear("cube", 2)
+        np.testing.assert_allclose(
+            Difference(square, cube).enclosure(self.LO, self.HI), [[-0.125, -7.96], [2.0, 3.992]]
+        )
+        np.testing.assert_allclose(
+            Scale(-2.0, square).enclosure(self.LO, self.HI), [[-2.0, -8.0], [0.0, -0.08]]
+        )
+        # the cube's interval [-1, 0.125] x [0.008, 8] straddles 0 in x only
+        np.testing.assert_allclose(
+            Compose(square, cube).enclosure(self.LO, self.HI), [[0.0, 6.4e-5], [1.0, 64.0]]
+        )
+
+    def test_an_affine_combination_uses_its_form(self):
+        # interval arithmetic alone would give x - x the interval [lo - hi, hi - lo]
+        x = Identity(2)
+        np.testing.assert_array_equal(Difference(x, x).enclosure(self.LO, self.HI), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "op, exact",
+        [
+            (PointwiseNonlinear("square", 2), True),
+            (Scale(-1.0, PointwiseNonlinear("cube", 2)), True),
+            (Compose(PointwiseNonlinear("cube", 2), Affine([[0.0, 2.0], [-1.0, 0.0]])), True),
+            (Compose(PointwiseNonlinear("cube", 2), Rotation(0.3)), False),
+            (Sum(PointwiseNonlinear("square", 2), PointwiseNonlinear("cube", 2)), False),
+            (Affine([[1.0, 1.0], [0.0, 1.0]]), False),
+        ],
+        ids=["square", "scaled-cube", "cube-of-permutation", "cube-of-rotation", "sum", "shear"],
+    )
+    def test_exact_enclosure(self, op, exact):
+        assert op.exact_enclosure() is exact
+
+
 def _isinstance_class_names(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":

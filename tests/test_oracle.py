@@ -212,3 +212,33 @@ def test_chunked_membership_matches_one_pass(monkeypatch, make, dim):
     assert whole.shape[0] < oracle._GRID_CHUNK  # one chunk: the unchunked filter
     monkeypatch.setattr(oracle, "_GRID_CHUNK", 7)
     np.testing.assert_array_equal(grid_points(K, resolution), whole)
+
+
+def _simplex_distances_by_projection(K, pts):
+    """Every row's distance through a projection, with no lower-bound screen."""
+    from gvikit.geometry import _simplex_project_rows
+
+    return np.linalg.norm(pts - _simplex_project_rows(pts), axis=1)
+
+
+@pytest.mark.parametrize("resolution", [0.05, 0.07, 0.3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_simplex_screen_keeps_the_grid(monkeypatch, dim, resolution):
+    # rows whose lower bound exceeds 10 * CONTAINS_TOL are far outside, so
+    # projecting only the others keeps the grid byte for byte
+    K = Simplex(dim)
+    screened = grid_points(K, resolution)
+    monkeypatch.setattr(Simplex, "_distance_batch", _simplex_distances_by_projection)
+    full = grid_points(K, resolution)
+    assert screened.tobytes() == full.tobytes()
+
+
+def test_simplex_screen_is_a_lower_bound():
+    rng = np.random.default_rng(5)
+    K = Simplex(4)
+    pts = rng.uniform(-0.5, 1.2, size=(500, 4))
+    exact = _simplex_distances_by_projection(K, pts)
+    screened = K._distance_batch(pts)
+    assert np.all(screened <= exact + 1e-15)
+    near = screened <= 1e-8
+    np.testing.assert_array_equal(screened[near], exact[near])

@@ -306,28 +306,32 @@ class TestCli:
         assert report["oracle"] == {"skipped": "the gap is exact, so no grid can refute it"}
         assert grids == []
 
-    def test_certify_runs_the_grid_gap_on_a_sampled_gap(self, capsys, tmp_path):
-        # a cube inner map with a cone image: neither K's minimizer applies
-        # (the map is not affine) nor the image's (a cone has none)
+    def test_certify_runs_the_grid_gap_on_a_sampled_gap(self, capsys, tmp_path, monkeypatch):
+        # K is a cone: it has no linear minimizer and no bounding box, so the
+        # gap is sampled and the grid gap is attempted, which needs a lattice
+        # over K's bounding box and so reports why it could not run
         data = {
             "version": "1",
             "kind": "gvi",
             "operators": {
                 "A": {"op": "affine", "matrix": [[2.0, 1.0], [1.0, 2.0]], "shift": [-1.0, -1.0]},
-                "a": {"op": "pointwise", "kind": "cube", "dim": 2},
+                "a": {"op": "identity", "dim": 2},
             },
-            "set": {"type": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
-            "image_set": {"type": "cone", "generators": [[1.0, 0.0], [0.0, 1.0]]},
+            "set": {"type": "cone", "generators": [[1.0, 0.0], [0.0, 1.0]]},
             "seed": 4,
         }
+        grids = []
+        real = cli.brute_gap
+        monkeypatch.setattr(cli, "brute_gap", lambda *args: grids.append(args) or real(*args))
         code, report, _ = _run(capsys, ["certify", _write(tmp_path, data), "--quiet"])
         assert code == 0
         assert report["exit_status"] == "certified"
         assert report["gap_kind"] == "sampled"
-        oracle = report["oracle"]
-        assert oracle["resolution"] == 0.05
-        assert -1e-6 <= oracle["gap"] <= 0.0
-        assert oracle["refutes"] is False
+        np.testing.assert_allclose(report["solution"], [1.0 / 3.0, 1.0 / 3.0], atol=1e-6)
+        assert len(grids) == 1
+        assert report["oracle"] == {
+            "resolution": 0.05, "error": "PolyhedralCone has no bounding box"
+        }
 
     def test_tol_override_can_force_refutation(self, capsys, tmp_path):
         # an impossible coincidence tolerance turns a good solve into a
@@ -448,8 +452,29 @@ class TestOnePath:
         assert report["reduced_solution"] is not None
 
     def test_pullback_miss_is_a_status(self, capsys, tmp_path):
-        # A(x) = x - 1.5 on [-1, 1] reduces to u* = 1.5, inside the declared
-        # image [-2, 2] but outside a(K); the pullback fails the certificate
+        # A(x) = x - 1.5 on [-1, 1] with the cube as a: the reduced operator
+        # vanishes at u = 1.5^3, so the solver walks the declared image
+        # [-2, 2] past a(K) = [-1, 1], where no preimage exists
+        data = {
+            "version": "1",
+            "kind": "gvi",
+            "operators": {
+                "A": {"op": "affine", "matrix": [[1.0]], "shift": [-1.5]},
+                "a": {"op": "pointwise", "kind": "cube", "dim": 1},
+            },
+            "set": {"type": "box", "lower": [-1.0], "upper": [1.0]},
+            "image_set": {"type": "box", "lower": [-2.0], "upper": [2.0]},
+            "seed": 7,
+        }
+        code, report, err = _run(capsys, ["certify", _write(tmp_path, data)])
+        assert code == 1
+        assert report["exit_status"] != "certified"
+        assert report["error"]["type"] == "InversionFailed"
+        assert report["solution"] is None and report["reduction"] is None
+        assert "Traceback" not in err
+
+    def test_affine_map_outside_its_zero_certifies(self, capsys, tmp_path):
+        # the same A with a = id is solved on K itself: x = 1, pullback 0
         data = {
             "version": "1",
             "kind": "gvi",
@@ -462,12 +487,11 @@ class TestOnePath:
             "seed": 7,
         }
         code, report, _ = _run(capsys, ["certify", _write(tmp_path, data), "--quiet"])
-        assert code == 1
-        assert report["exit_status"] == "solved_uncertified"
-        assert "error" not in report
+        assert code == 0
+        assert report["exit_status"] == "certified"
+        assert report["reduction"] == "x_space"
         assert report["solution"] == [1.0]
-        assert report["residuals"]["pullback"] == pytest.approx(0.5, abs=1e-7)
-        assert report["residuals"]["gap"] >= -1e-6
+        assert report["residuals"]["pullback"] == 0.0
 
     def test_precheck_runs_once_per_run(self, monkeypatch):
         calls = []

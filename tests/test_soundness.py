@@ -4,11 +4,14 @@ The gap ``min_{y in K} <A(x), a(y) - a(x)>`` is a linear minimization, so
 on every bounded set variant it is computed through
 ``ConvexSet.linear_min`` rather than over sampled probes.  Most cases
 are ones a sampled gap scores ``0.0`` and so certifies; the last ones
-pin that a declared image that misses ``a(K)`` never stands in for it.
+pin that a declared image that misses ``a(K)`` never stands in for it:
+a map with no affine form minimizes over its interval enclosure on K's
+bounding box, which holds ``a(K)`` whatever the image says.
 """
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,17 +23,23 @@ from gvikit import (
     Affine,
     Ball,
     Box,
+    Compose,
     Constant,
+    Difference,
     GviProblem,
     Identity,
+    PointwiseNonlinear,
     PolyhedralCone,
+    Scale,
     Simplex,
+    Sum,
     UnsupportedVariant,
     gvi_gap,
 )
 from gvikit.cli import main
-from gvikit.gvi import ImageConsistencyWarning
-from gvikit.schema import validate
+from gvikit.demos import DEMOS
+from gvikit.gvi import ImageConsistencyWarning, _linear_minimizer
+from gvikit.schema import parse_problem, validate
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -44,7 +53,7 @@ _FACTORIES = {
 
 @given(
     kind=st.sampled_from(sorted(_FACTORIES)),
-    dim=st.integers(2, 4),  # random_hpolytope needs two unparallel normals
+    dim=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -155,5 +164,133 @@ def test_a_declared_image_that_misses_a_of_K_is_not_minimized_over(capsys, tmp_p
     assert code == 1
     assert report["exit_status"] != "certified"
     assert report["residuals"]["gap"] == pytest.approx(upper - 1.0, abs=1e-6)
-    assert report["gap_kind"] == "sampled"
-    assert report["oracle"]["refutes"] is True
+    # the gap runs over the cube's enclosure [0, 1] of K, which is a(K)
+    assert report["gap_kind"] == "exact"
+    assert report["oracle"] == {"skipped": "the gap is exact, so no grid can refute it"}
+
+
+def _nonlinear_maps(rng, dim):
+    """Maps with no affine form, one per way ``enclosure`` combines its children."""
+    square, cube = PointwiseNonlinear("square", dim), PointwiseNonlinear("cube", dim)
+    shear = Affine(rng.normal(size=(dim, dim)), rng.normal(size=dim))
+    return [
+        *(PointwiseNonlinear(kind, dim) for kind in ("cube", "tanh", "sigmoid", "square")),
+        Scale(-1.5, square),
+        Sum(PointwiseNonlinear("tanh", dim), shear),
+        Difference(square, cube),
+        Compose(PointwiseNonlinear("sigmoid", dim), shear),
+        Compose(cube, Sum(shear, Scale(0.5, square))),
+        Compose(Affine(rng.normal(size=(dim + 1, dim))), square),  # into R^(dim+1)
+    ]
+
+
+@given(
+    kind=st.sampled_from(sorted(_FACTORIES)),
+    dim=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_enclosure_holds_a_of_K(kind, dim, seed):
+    rng = np.random.default_rng(seed)
+    K = _FACTORIES[kind](rng, dim)
+    pts = [K.sample(rng, 256)]
+    if kind != "ball":
+        pts.append(K.vertices())
+    pts = np.vstack(pts)
+    for a in _nonlinear_maps(rng, dim):
+        lo, hi = a.enclosure(*K.bounding_box())
+        vals = a(pts)
+        slack = 1e-12 * (1.0 + np.abs(vals))
+        assert np.all(lo - slack <= vals) and np.all(vals <= hi + slack), a.to_dict()
+
+
+def test_a_square_image_that_misses_zero_inside_K_is_refuted(capsys):
+    # the declared image [9e-5, 1] misses a(0) = 0 inside K = [-1, 1], and
+    # every sampled point of the image check maps inside it; the reduced
+    # solve stops at x = 0.00949 with a(x) = 9e-5, which y = 0 prices at -9e-5
+    code = main(["certify", str(FIXTURES / "square-image-misses-zero.json"), "--quiet"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["exit_status"] != "certified"
+    assert report["gap_kind"] == "exact"
+    assert report["residuals"]["gap"] == pytest.approx(-9.0e-5, rel=1e-3)
+
+
+def _image_box_gap(problem, x):
+    """The gap minimized over the declared image box, as before enclosures."""
+    ax, gx = problem.a(x), problem.A(x)
+    return min(0.0, float((problem.image_aK.linear_min(gx) - ax) @ gx))
+
+
+def _square_demos():
+    for name, entry in DEMOS.items():
+        problem = parse_problem(entry["problem"])
+        if entry["problem"]["operators"].get("a", {}).get("kind") == "square":
+            ops = problem.operators
+            yield name, GviProblem(
+                A=ops["A"], a=ops["a"], K=problem.feasible_set, image_aK=problem.image_set
+            )
+
+
+def _cube_rungs():
+    rng = np.random.default_rng(8)
+    for n in (2, 10, 30):
+        K = Box(-np.ones(n), np.ones(n))
+        A = Affine(rng.normal(size=(n, n)), rng.uniform(-1.5, 1.5, size=n))
+        yield f"cube-{n}", GviProblem(A=A, a=PointwiseNonlinear("cube", n), K=K, image_aK=K)
+
+
+_IMAGE_IS_A_OF_K = [*_square_demos(), *_cube_rungs()]
+
+
+@pytest.mark.parametrize(
+    "problem", [p for _, p in _IMAGE_IS_A_OF_K], ids=[name for name, _ in _IMAGE_IS_A_OF_K]
+)
+def test_enclosure_gap_equals_the_declared_image_gap_bit_for_bit(problem):
+    # where the declared image is a(K), its enclosure is the same box
+    xs = problem.K.sample(np.random.default_rng(3), 16)
+    for x in np.vstack([xs, *problem.K.bounding_box()]):
+        assert gvi_gap(problem, x) == _image_box_gap(problem, x)
+
+
+def test_a_non_box_K_gives_a_lower_bound(capsys, tmp_path):
+    # the square maps the unit disc onto the triangle declared as the
+    # image; its enclosure on the disc's bounding box is [0, 1]^2, which
+    # holds a(K) but is larger, so the gap is a lower bound and no grid can
+    # refute what it accepts
+    data = {
+        "version": "1",
+        "kind": "gvi",
+        "operators": {
+            "A": {"op": "constant", "value": [1.0, 2.0], "in_dim": 2},
+            "a": {"op": "pointwise", "kind": "square", "dim": 2},
+        },
+        "set": {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        "image_set": {
+            "type": "hpolytope", "normals": [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+            "offsets": [0.0, 0.0, 1.0],
+        },
+        "seed": 5,
+    }
+    path = tmp_path / "disc.json"
+    path.write_text(json.dumps(data))
+    code = main(["certify", str(path), "--quiet"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["exit_status"] == "certified"
+    assert (report["gap_kind"], report["reduction"]) == ("bound", "image")
+    assert -1e-6 <= report["residuals"]["gap"] <= 0.0
+    assert report["oracle"] == {"skipped": "the gap is a lower bound, so no grid can refute it"}
+
+
+def test_an_overflowing_enclosure_falls_back_to_the_sampled_gap():
+    # the cube of 1e120 overflows, so no finite box holds a(K)
+    problem = SimpleNamespace(a=PointwiseNonlinear("cube", 1), K=Box([0.0], [1e120]))
+    with np.errstate(over="ignore"):
+        assert _linear_minimizer(problem) == (None, "sampled")
+
+
+def test_a_cone_K_has_a_sampled_gap():
+    cone = PolyhedralCone(np.eye(2))
+    for a in (Identity(2), PointwiseNonlinear("cube", 2)):
+        assert _linear_minimizer(SimpleNamespace(a=a, K=cone)) == (None, "sampled")
