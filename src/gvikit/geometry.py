@@ -346,7 +346,8 @@ class Simplex(ConvexSet):
     def _distance_batch(self, pts):
         # the distances to the hyperplane sum(x) = 1 and to the orthant
         # bound the distance from below; only rows near the set are projected
-        out = np.maximum(np.abs(pts.sum(axis=1) - 1.0) / math.sqrt(self.dim), np.max(-pts, axis=1))
+        off_plane = np.abs(pts.sum(axis=1) - 1.0) / math.sqrt(self.dim)
+        out = np.maximum(off_plane, np.max(-pts, axis=1))
         near = out <= 10 * CONTAINS_TOL
         out[near] = np.linalg.norm(pts[near] - _simplex_project_rows(pts[near]), axis=1)
         return out

@@ -332,7 +332,8 @@ def _linear_minimizer(problem):
         return None, "sampled"
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         return None, "sampled"
-    return Box(lo, hi).linear_min, "exact" if isinstance(K, Box) and a.exact_enclosure() else "bound"
+    exact = isinstance(K, Box) and a.exact_enclosure()
+    return Box(lo, hi).linear_min, "exact" if exact else "bound"
 
 
 def gvi_gap(problem, x, probes=None):
@@ -418,20 +419,19 @@ def solve_gvi(problem, x0=None, record_history=False):
     """
     form = problem.a.affine_form()
     if form is not None:
-        operator, space, reduction = _x_space_operator(problem.A, form[0]), problem.K, "x_space"
-    else:
-        operator = ReducedOperator(problem.A, problem.a, problem.K, problem.inversion)
-        space, reduction = problem.image_aK, "image"
-    rep = solve_extragradient(
-        operator, space, problem.params, x0=x0, record_history=record_history
-    )
-    if form is not None:
-        x_star = rep.solution
+        rep = solve_extragradient(
+            _x_space_operator(problem.A, form[0]), problem.K, problem.params,
+            x0=x0, record_history=record_history,
+        )
+        x_star, reduction = rep.solution, "x_space"
         u_star = np.asarray(problem.a(x_star), dtype=float)
     else:
+        reduced = ReducedOperator(problem.A, problem.a, problem.K, problem.inversion)
+        rep = solve_extragradient(
+            reduced, problem.image_aK, problem.params, x0=x0, record_history=record_history
+        )
         # the solver evaluated the operator at its solution, so this is a cache hit
-        u_star = rep.solution
-        x_star = operator.representative(u_star)
+        u_star, x_star, reduction = rep.solution, reduced.representative(rep.solution), "image"
     pullback = float(np.linalg.norm(np.asarray(problem.a(x_star), dtype=float) - u_star))
     return GviSolveReport(
         solution=x_star,

@@ -109,10 +109,10 @@ class OperatorExpr:
         image is a box.
         """
         form = self.affine_form()
-        nonzero = None if form is None else form[0] != 0.0
-        return nonzero is not None and bool(
-            np.all(nonzero.sum(axis=0) <= 1) and np.all(nonzero.sum(axis=1) <= 1)
-        )
+        if form is None:
+            return False
+        nonzero = form[0] != 0.0
+        return bool(np.all(nonzero.sum(axis=0) <= 1) and np.all(nonzero.sum(axis=1) <= 1))
 
     def to_dict(self):
         raise NotImplementedError
@@ -289,7 +289,8 @@ class Scale(OperatorExpr):
 
     def enclosure(self, lo, hi):
         l, u = self.inner.enclosure(lo, hi)
-        return np.minimum(self.factor * l, self.factor * u), np.maximum(self.factor * l, self.factor * u)
+        fl, fu = self.factor * l, self.factor * u
+        return np.minimum(fl, fu), np.maximum(fl, fu)
 
     def exact_enclosure(self):
         return self.inner.exact_enclosure()

@@ -663,7 +663,7 @@ class TestPullbackOutsideAK:
     )
     def test_affine_map_certifies_the_true_solution(self, a, half_width):
         # solved on K itself, the declared image [-h, h] past a(K) plays no
-        # part: x = 1 is the solution, since A(1) = -0.5 points out of K
+        # part: x = 1 is the solution, since -A(1) = 0.5 points out of K
         problem = self._problem(a, half_width)
         rep = solve_gvi(problem)
         assert rep.reduction == "x_space"
