@@ -2,11 +2,13 @@
 
 The package solves the general variational inequality: find x in K with
 ``<A(x), a(y) - a(x)> >= 0`` for all y in K.  When ``a`` is the identity
-this is the classical Stampacchia problem; otherwise the solver inverts
-``a`` numerically, solves the reduced problem on the image set, and pulls
-the solution back.  Coincidence points (f(x) = g(x)) and fixed points are
-obtained from the same pipeline with ``A = g - f`` and ``a = g``, and a
-brute-force grid oracle provides independent certification at desk scale.
+this is the classical Stampacchia problem, and any affine ``a(x) = Mx + c``
+gives the plain problem for ``M^T A`` on K itself; otherwise the solver
+inverts ``a`` numerically, solves the reduced problem on the declared image
+set, and pulls the solution back.  Coincidence points (f(x) = g(x)) and
+fixed points are obtained from the same pipeline with ``A = g - f`` and
+``a = g``, and a brute-force grid oracle provides independent evidence at
+desk scale.
 """
 
 from .errors import (

@@ -40,7 +40,7 @@ from .operators import (
     check_ql,
     proven_report,
 )
-from .oracle import brute_coincidence, brute_gap
+from .oracle import brute_coincidence
 from .schema import check_tolerance, parse_problem, validate
 
 # Sampled checks at the CLI run against this tolerance rather than the
@@ -186,34 +186,27 @@ def _tolerances(problem, pair, cone, tol, resolution):
     return tols
 
 
-def _oracle_section(gvi_problem, pair, solution, resolution, gap_tol, gap_kind):
+def _oracle_section(gvi_problem, pair, solution, resolution, gap_kind):
     """Grid-oracle evidence for the solution.
 
-    A coincidence pair gets the grid point of least residual.  Otherwise
-    the grid gap runs only when the certificate's gap is sampled: an exact
-    gap, or a lower bound on it, is already at most the minimum over any
-    grid in K, so a grid cannot refute what it accepts.
+    A coincidence pair gets the grid point of least residual.  Any other
+    kind runs no grid: its gap is exact or a lower bound, so it is already
+    at most the minimum over any grid in K, and a grid cannot refute what
+    it accepts.
     """
-    if pair is None and gap_kind != "sampled":
+    if pair is None:
         what = "exact" if gap_kind == "exact" else "a lower bound"
         return {"skipped": f"the gap is {what}, so no grid can refute it"}
     try:
-        if pair is None:
-            gap = brute_gap(gvi_problem.A, gvi_problem.a, gvi_problem.K, solution, resolution)
-            return {
-                "resolution": resolution,
-                "gap": gap,
-                "refutes": bool(gap < -gap_tol),
-            }
         point, residual = brute_coincidence(*pair, gvi_problem.K, resolution)
-        return {
-            "resolution": resolution,
-            "point": point.tolist(),
-            "residual": residual,
-            "distance_to_solution": float(np.linalg.norm(point - solution)),
-        }
     except ToolkitError as err:
         return {"resolution": resolution, "error": str(err)}
+    return {
+        "resolution": resolution,
+        "point": point.tolist(),
+        "residual": residual,
+        "distance_to_solution": float(np.linalg.norm(point - solution)),
+    }
 
 
 def run_problem(problem, certify=False, resolution=None, tol=None):
@@ -284,20 +277,15 @@ def run_problem(problem, certify=False, resolution=None, tol=None):
     report["converged"] = converged
 
     if certify and report["solution"] is not None:
-        oracle = _oracle_section(
+        report["oracle"] = _oracle_section(
             gvi_problem, pair, np.asarray(report["solution"], dtype=float),
-            tols["resolution"], tols["gap"], report["gap_kind"],
+            tols["resolution"], report["gap_kind"],
         )
-        report["oracle"] = oracle
-        if oracle.get("refutes"):
-            certified = False
 
     if certified:
         status = "certified"
     elif refutation is not None or _refuted(battery):
         status = "refuted_hypothesis"
-    elif report.get("oracle", {}).get("refutes"):
-        status = "failed"
     elif converged and error is None:
         status = "solved_uncertified"
     else:

@@ -99,7 +99,7 @@ DEMOS = {
     },
     "relative-monotone": {
         "title": "Monotone relative to a shear",
-        "summary": "Affine pair whose reduced matrix is symmetric positive definite; the image set is derived automatically.",
+        "summary": "Affine pair whose reduced matrix is symmetric positive definite; it needs no image set.",
         "expect": {"solution": [0.75, 0.5], "tol": 1e-6},
         "problem": {
             "version": "1",

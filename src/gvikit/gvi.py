@@ -12,11 +12,12 @@ image of ``a``, where b picks one preimage per image point; this module
 supplies that selection (projected Gauss-Newton with deterministic
 multistart) behind a per-solve fiber cache.  It also holds ``certify``:
 the gap, pullback, coincidence and complementarity residuals of a solve
-and the one rule that certifies it for every problem kind.  The gap is a
-linear minimization: exact through ``ConvexSet.linear_min`` for an
-affine map, a lower bound over the interval enclosure of ``a`` on K's
-bounding box for any other (exact where that box is ``a(K)``), and
-sampled only when K has neither (a cone).
+and the one rule that certifies it for every problem kind.  K is compact
+for every kind (a cone belongs to the complementarity problem, which
+``complementarity_check`` certifies), so the gap is always a linear
+minimization: exact through ``ConvexSet.linear_min`` for an affine map,
+and a lower bound over the interval enclosure of ``a`` on K's bounding
+box for any other (exact where that box is ``a(K)``).
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ COMPLEMENTARITY_TOL = 1e-8
 _MULTISTART_SEED = 715225741
 _IMAGE_CHECK_SEED = 398764591
 _IMAGE_CHECK_SAMPLES = 64
-_PROBE_SEED = 185136289
-_PROBE_SAMPLES = 512
 
 
 class ImageConsistencyWarning(UserWarning):
@@ -242,31 +241,39 @@ class ReducedOperator:
 
 @dataclass
 class GviProblem:
-    """Problem data for ``VI(A, a, K)`` plus the declared image of ``a``.
+    """Problem data for ``VI(A, a, K)`` on a compact K, plus the image of ``a``.
 
-    ``image_aK`` must describe ``a(K)``; construction maps a fixed sample
-    of K, plus K's vertices when ``a`` is not affine, and warns when a
-    mapped point falls outside the declared image, since for a map with
-    no affine form a wrong image silently changes the problem being solved.
+    K must have a ``bounding_box()``; a cone is rejected.  ``image_aK``
+    is read only by the solve of an inner map with no affine form, which
+    runs on it, so only such a map needs it.  There it must describe
+    ``a(K)``: construction maps a fixed sample of K plus K's vertices and
+    warns when a mapped point falls outside it, since a wrong image
+    silently changes the problem being solved.  An affine map solves on K
+    and leaves a declared image unread apart from its dimension.
     """
 
     A: OperatorExpr
     a: OperatorExpr
     K: ConvexSet
-    image_aK: ConvexSet
+    image_aK: Optional[ConvexSet] = None
     params: SolverParams = field(default_factory=SolverParams)
     inversion: InversionParams = field(default_factory=InversionParams)
 
     def __post_init__(self):
         if self.A.in_dim != self.K.dim or self.a.in_dim != self.K.dim:
             raise DimensionMismatch("operator input dimensions must match K")
-        if self.image_aK.dim != self.a.out_dim:
+        try:
+            self.K.bounding_box()
+        except UnsupportedVariant as err:
+            raise UnsupportedVariant(f"K must be compact: {err}") from err
+        if self.image_aK is not None and self.image_aK.dim != self.a.out_dim:
             raise DimensionMismatch("image set dimension must match the range of a")
-        # only a map with no affine form is solved on the declared image,
-        # so only there do K's vertices join the check
+        if self.a.affine_form() is not None:
+            return  # the solve runs on K and reads no image
+        if self.image_aK is None:
+            raise UnsupportedVariant("an inner map with no affine form needs its image_aK")
         worst, witness = _image_miss(
-            self.a, self.K, self.image_aK, _IMAGE_CHECK_SEED,
-            vertices=self.a.affine_form() is None,
+            self.a, self.K, self.image_aK, _IMAGE_CHECK_SEED, vertices=True
         )
         if worst > IMAGE_TOL:
             warnings.warn(
@@ -304,7 +311,7 @@ def _image_miss(a, K, image, seed, samples=_IMAGE_CHECK_SAMPLES, vertices=False)
 class GviSolveReport(SolveReport):
     reduced_solution: Optional[np.ndarray] = None
     pullback_residual: float = 0.0
-    gap_kind: str = "sampled"
+    gap_kind: str = "exact"
     reduction: str = "image"
 
 
@@ -317,81 +324,34 @@ def _linear_minimizer(problem):
     ``a.enclosure`` gives on K's bounding box, which holds ``a(K)``: the
     gap is ``"exact"`` where that box is ``a(K)`` (K a Box and
     ``a.exact_enclosure()``) and a lower bound, ``"bound"``, otherwise.
-    ``(None, "sampled")`` when K has no linear minimizer (for an affine
-    map), no bounding box, or the enclosure overflows.
+    Raises ``UnsupportedVariant`` when the enclosure overflows, since no
+    finite box then holds ``a(K)``.
     """
     a, K = problem.a, problem.K
     form = a.affine_form()
     if form is not None:
-        if type(K).linear_min is ConvexSet.linear_min:
-            return None, "sampled"
         return (lambda gx: a(K.linear_min(form[0].T @ gx))), "exact"
-    try:
+    with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = a.enclosure(*K.bounding_box())
-    except UnsupportedVariant:
-        return None, "sampled"
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        return None, "sampled"
+        raise UnsupportedVariant("the interval enclosure of a on K overflows")
     exact = isinstance(K, Box) and a.exact_enclosure()
     return Box(lo, hi).linear_min, "exact" if exact else "bound"
 
 
-def gvi_gap(problem, x, probes=None):
+def gvi_gap(problem, x):
     """``min <A(x), a(y) - a(x)>`` over y in K; solutions score ~0.
 
-    By default the minimum is exact through ``_linear_minimizer``, or a
-    lower bound over an enclosure of ``a(K)``, so a value of at least
-    ``-tol`` certifies x.  Otherwise, and for explicit
-    ``probes``, it runs over a finite probe set plus x itself: a markedly
-    negative value refutes x, a near-zero one certifies it only against
-    those probes.
+    The minimum is exact through ``_linear_minimizer``, or a lower bound
+    over an enclosure of ``a(K)``, so a value of at least ``-tol``
+    certifies x.
     """
     x = as_vector(x, problem.K.dim, "x")
     ax = np.asarray(problem.a(x), dtype=float)
     gx = np.asarray(problem.A(x), dtype=float)
-    minimizer = _linear_minimizer(problem)[0] if probes is None else None
-    if minimizer is not None:
-        # y = x scores 0, so the minimum is never positive
-        return min(0.0, float((np.asarray(minimizer(gx), dtype=float) - ax) @ gx))
-    if probes is None:
-        probes = default_gap_probes(problem.K)
-    pmat = np.vstack([_probe_matrix(probes, problem.K.dim), x])
-    vals = (np.asarray(problem.a(pmat), dtype=float) - ax) @ gx
-    return float(np.min(vals))
-
-
-def _probe_matrix(probes, dim):
-    """The probes as the rows of a finite ``(n, dim)`` matrix."""
-    try:
-        pmat = np.array(probes, dtype=float)
-    except ValueError as err:  # rows of different lengths
-        raise DimensionMismatch(f"probes must all have dimension {dim}") from err
-    if pmat.size == 0 or (pmat.ndim == 1 and dim == 1):
-        pmat = pmat.reshape(-1, dim)
-    if pmat.ndim != 2 or pmat.shape[1] != dim:
-        raise DimensionMismatch(f"probes must be points of dimension {dim}, got {pmat.shape}")
-    if not np.all(np.isfinite(pmat)):
-        raise ValueError("probe has non-finite entries")
-    return pmat
-
-
-def default_gap_probes(K, n_samples=_PROBE_SAMPLES, seed=_PROBE_SEED):
-    """The vertices of K when enumerable, then a fixed-seed sample of K.
-
-    ``gvi_gap`` probes these only when ``_linear_minimizer`` finds no
-    minimizer.
-    """
-    probes = []
-    try:
-        probes.extend(np.asarray(K.vertices()))
-    except (UnsupportedVariant, DimensionTooLarge):
-        pass
-    rng = np.random.default_rng(seed)
-    try:
-        probes.extend(np.atleast_2d(K.sample(rng, n_samples)))
-    except (UnsupportedVariant, NonConvergence):
-        pass
-    return probes
+    minimizer = _linear_minimizer(problem)[0]
+    # y = x scores 0, so the minimum is never positive
+    return min(0.0, float((np.asarray(minimizer(gx), dtype=float) - ax) @ gx))
 
 
 def _x_space_operator(A, m):
@@ -414,8 +374,8 @@ def solve_gvi(problem, x0=None, record_history=False):
     is the preimage of the reduced solution that
     ``ReducedOperator.representative`` selects, so ``a(x) = u`` holds up
     to the inversion tolerance.  The gap certificate is evaluated on the
-    original problem; ``gap_kind`` records whether it is exact, a lower
-    bound or sampled.
+    original problem; ``gap_kind`` records whether it is exact or a lower
+    bound.
     """
     form = problem.a.affine_form()
     if form is not None:
@@ -527,10 +487,7 @@ def certify(
     certificate holds:
 
     - ``pair = (f, g)``, a coincidence problem with ``A = g - f`` and
-      ``a = g``: ``|f(x) - g(x)| <= coincidence_tol``.  When the gap is
-      sampled, the proof probe ``g^{-1}(f(x))`` also joins the gap probes;
-      an exact gap is already at most its value, as ``g(probe)`` lies in
-      ``g(K)``.
+      ``a = g``: ``|f(x) - g(x)| <= coincidence_tol``.
     - ``cone``, a complementarity problem with ``T = A`` and ``g = a``:
       every slack of ``complementarity_check`` is within
       ``complementarity_tol``.
@@ -545,13 +502,6 @@ def certify(
     if pair is not None:
         f, g = pair
         fx = np.asarray(f(x), dtype=float)
-        if rep.gap_kind == "sampled":
-            try:
-                y_probe = select_preimage(g, problem.K, fx, problem.inversion)
-                # rep.gap_certificate already minimizes over the default probes
-                residuals["gap"] = min(residuals["gap"], gvi_gap(problem, x, probes=[y_probe]))
-            except InversionFailed:
-                pass
         residual = float(np.linalg.norm(fx - np.asarray(g(x), dtype=float)))
         residuals["coincidence"] = residual
         holds = residual <= coincidence_tol

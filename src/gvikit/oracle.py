@@ -6,11 +6,13 @@ gap is an upper bound on the true infimum, which makes it a refutation
 tool.  Grids are generated in lexicographic order and ties resolve to the
 first point, keeping every oracle answer deterministic.
 
-A grid gap can refute only a sampled gap certificate: the exact gap of
-``gvi.gvi_gap`` is already at most the minimum over any grid in K, so the
-command line runs ``brute_gap`` only where the gap is sampled.
+No grid gap can refute the gap certificate: ``gvi.gvi_gap`` is exact or
+a lower bound on every compact K, so it is already at most the minimum
+over any grid in K, and the command line never runs ``brute_gap``; the
+acceptance tests use it as an independent upper bound.
 ``brute_coincidence`` answers another question, the lattice point of
-least residual, and runs on every certified coincidence or fixed point.
+least residual, and ``gvikit certify`` runs it on every coincidence or
+fixed-point solution.
 """
 
 from __future__ import annotations

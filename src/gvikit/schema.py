@@ -47,7 +47,7 @@ _TOP_KEYS = {
     "tolerances",
 }
 
-# the inner map of each kind that declares or derives an image set
+# the inner map of each kind that may declare an image set
 _INNER = {"gvi": "a", "coincidence": "g", "complementarity": "g"}
 
 _SET_KEYS = {
@@ -226,16 +226,14 @@ class Problem:
 
 
 def _derive_image(mapping, base, pointer):
-    """``mapping.image(base)``: any affine inner map has one, not only
-    ``Identity`` and ``Affine`` but also a ``Rotation`` or a ``Scale``,
-    ``Sum`` or ``Compose`` of affine maps."""
+    """``mapping.image(base)`` for the affine ``g`` of a coincidence file,
+    whose ``check_range_inclusion`` reads ``g(K)``: not only ``Identity``
+    and ``Affine`` but also a ``Rotation`` or a ``Scale``, ``Sum`` or
+    ``Compose`` of affine maps."""
     try:
-        image = mapping.image(base)
+        return mapping.image(base)
     except ToolkitError as err:
         raise SchemaError(pointer, f"cannot derive the image set: {err}") from err
-    if image is None:
-        raise SchemaError(pointer, "image_set is required when the inner map is not affine")
-    return image
 
 
 def parse_problem(data):
@@ -273,6 +271,7 @@ def parse_problem(data):
                 raise SchemaError(pointer, f"must be an integer >= 1, got {value}")
             tolerances[key] = check_tolerance(value, pointer)
 
+    inner = _INNER.get(kind)
     image_set = None
     domain = None
     if kind == "complementarity":
@@ -285,21 +284,21 @@ def parse_problem(data):
         domain = parse_set(d["domain"], "/domain")
         if isinstance(domain, PolyhedralCone):
             raise SchemaError("/domain", "the solve domain must be a compact variant")
-        if "image_set" in d:
-            image_set = parse_set(d["image_set"], "/image_set")
-        else:
-            image_set = _derive_image(operators["g"], domain, "/image_set")
-    elif kind in ("gvi", "coincidence"):
-        if "domain" in d:
-            raise SchemaError("/domain", f"field not allowed for kind {kind!r}")
-        if "image_set" in d:
-            image_set = parse_set(d["image_set"], "/image_set")
-        else:
-            image_set = _derive_image(operators[_INNER[kind]], feasible, "/image_set")
-    else:
-        for bad in ("image_set", "domain"):
-            if bad in d:
-                raise SchemaError(f"/{bad}", f"field not allowed for kind {kind!r}")
+    elif isinstance(feasible, PolyhedralCone):
+        raise SchemaError(
+            "/set", f"kind {kind!r} needs a compact set; a cone set belongs to kind 'complementarity'"
+        )
+    elif "domain" in d:
+        raise SchemaError("/domain", f"field not allowed for kind {kind!r}")
+    if "image_set" in d:
+        if inner is None:
+            raise SchemaError("/image_set", f"field not allowed for kind {kind!r}")
+        image_set = parse_set(d["image_set"], "/image_set")
+    elif inner is not None and operators[inner].affine_form() is None:
+        # only a map with no affine form is solved on its image
+        raise SchemaError("/image_set", "image_set is required when the inner map is not affine")
+    elif kind == "coincidence":
+        image_set = _derive_image(operators["g"], feasible, "/image_set")
 
     base = domain if kind == "complementarity" else feasible
     for name, op in operators.items():
@@ -315,7 +314,7 @@ def parse_problem(data):
             f"{feasible.dim}",
         )
     # the first operator of each kind pairs with its inner map, or with K
-    name, inner = REQUIRED_OPERATORS[kind][0], _INNER.get(kind)
+    name = REQUIRED_OPERATORS[kind][0]
     want = base.dim if inner is None else operators[inner].out_dim
     if operators[name].out_dim != want:
         against = "the set dimension" if inner is None else f"the output dimension of {inner!r}"
@@ -323,13 +322,11 @@ def parse_problem(data):
             f"/operators/{name}",
             f"output dimension {operators[name].out_dim} does not match {against} {want}",
         )
-    if image_set is not None:
-        inner_name = _INNER[kind]
-        if image_set.dim != operators[inner_name].out_dim:
-            raise SchemaError(
-                "/image_set",
-                f"image dimension {image_set.dim} does not match the range of {inner_name!r}",
-            )
+    if image_set is not None and image_set.dim != operators[inner].out_dim:
+        raise SchemaError(
+            "/image_set",
+            f"image dimension {image_set.dim} does not match the range of {inner!r}",
+        )
 
     return Problem(
         kind=kind,
@@ -349,9 +346,10 @@ def validate(data):
     """Diagnostics for a problem file without running it.
 
     Returns a list of ``{"severity", "pointer", "message"}`` entries:
-    schema violations as errors, plus image-consistency warnings for kinds
-    that declare an image set, over a sample of the set and, for an inner
-    map that is not affine, its vertices, as ``GviProblem`` checks them.
+    schema violations as errors, plus image-consistency warnings for a
+    file that declares its image set, over a sample of the set and, for
+    an inner map that is not affine, its vertices.  A coincidence image
+    derived as ``g(K)`` holds by construction and is not checked.
     """
     diagnostics = []
     try:
@@ -363,7 +361,7 @@ def validate(data):
         return diagnostics
 
     inner_name = _INNER.get(problem.kind)
-    if inner_name:
+    if "image_set" in problem.raw:
         base = problem.domain if problem.kind == "complementarity" else problem.feasible_set
         inner = problem.operators[inner_name]
         worst, witness = _image_miss(

@@ -1,6 +1,7 @@
 """Reduction pipeline: preimage selection, reduced solves, complementarity."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,6 @@ from gvikit.gvi import (
     certify,
     check_selection_independence,
     complementarity_check,
-    default_gap_probes,
     gvi_gap,
     preimage_candidates,
     select_preimage,
@@ -224,30 +224,6 @@ class TestGviGap:
         gap = gvi_gap(problem, np.zeros(2))
         assert gap == pytest.approx(-2.0, abs=1e-9)
 
-    def test_probe_set_can_be_restricted(self):
-        problem = _square_problem()
-        x = np.array([0.1])
-        assert gvi_gap(problem, x, probes=[x]) == 0.0
-
-    def test_probe_errors(self):
-        problem = _square_problem()
-        x = np.array([0.1])
-        with pytest.raises(DimensionMismatch):
-            gvi_gap(problem, x, probes=[np.array([0.2, 0.3])])
-        with pytest.raises(DimensionMismatch):
-            gvi_gap(problem, x, probes=[np.array([0.2]), np.array([0.2, 0.3])])
-        with pytest.raises(ValueError):
-            gvi_gap(problem, x, probes=[np.array([0.2]), np.array([np.nan])])
-        with pytest.raises(ValueError):
-            gvi_gap(problem, x, probes=[np.array([np.inf])])
-
-    def test_scalar_and_empty_probes(self):
-        problem = _square_problem()
-        x = np.array([0.1])
-        assert gvi_gap(problem, x, probes=[]) == 0.0
-        assert gvi_gap(problem, x, probes=[0.5, -0.2]) == gvi_gap(
-            problem, x, probes=[np.array([0.5]), np.array([-0.2])]
-        )
 
 
 def _image_miss_by_loop(a, K, image, seed):
@@ -360,23 +336,17 @@ class TestComplementarity:
         assert set(parsed["slacks"]) == {"membership", "polar", "orthogonality"}
 
 
-class _BoxWithoutBoundingBox(Box):
-    """A box that reports no bounding box, so no enclosure of ``a(K)`` exists."""
-
-    def bounding_box(self):
-        raise UnsupportedVariant("no bounding box")
-
-
 class TestCertifyProofProbe:
-    """The coincidence proof probe ``g^{-1}(f(x))`` joins only a sampled gap."""
+    """An exact gap already prices the coincidence proof probe ``g^{-1}(f(x))``."""
 
     IMAGE = Box(np.zeros(2), np.ones(2))
     CUBE = PointwiseNonlinear("cube", 2)
     F = Constant(np.array([0.125, 0.125]), in_dim=2)  # g = f at (0.5, 0.5)
     X = np.array([0.8, 0.3])  # off the coincidence point
 
-    def _certify_off_solution(self, K, monkeypatch):
+    def _certify_off_solution(self, monkeypatch):
         """``(report, certificate, select_preimage calls)`` at ``X``."""
+        K = Box(np.zeros(2), np.ones(2))
         problem = GviProblem(A=Difference(self.CUBE, self.F), a=self.CUBE, K=K, image_aK=self.IMAGE)
         rep = solve_gvi(problem)
         rep = replace(rep, solution=self.X, gap_certificate=gvi_gap(problem, self.X))
@@ -395,21 +365,8 @@ class TestCertifyProofProbe:
         miss = self.CUBE(self.X) - self.F(self.X)
         return -float(miss @ miss)
 
-    def test_a_sampled_gap_takes_the_probe(self, monkeypatch):
-        # with no bounding box of K the cube has no enclosure; with the
-        # default probes emptied the sampled gap reads 0 and only the probe
-        # can price X
-        monkeypatch.setattr(gvi_module, "default_gap_probes", lambda K: [])
-        K = _BoxWithoutBoundingBox(np.zeros(2), np.ones(2))
-        rep, cert, calls = self._certify_off_solution(K, monkeypatch)
-        assert rep.gap_kind == "sampled"
-        assert rep.gap_certificate == 0.0
-        assert len(calls) == 1
-        assert cert.residuals["gap"] == pytest.approx(self._probe_value(), rel=1e-6)
-        assert not cert.certified
-
     def test_an_exact_gap_skips_the_probe(self, monkeypatch):
-        rep, cert, calls = self._certify_off_solution(Box(np.zeros(2), np.ones(2)), monkeypatch)
+        rep, cert, calls = self._certify_off_solution(monkeypatch)
         assert rep.gap_kind == "exact"  # the cube maps the box K onto its enclosure
         assert calls == []
         assert cert.residuals["gap"] == rep.gap_certificate
@@ -431,6 +388,13 @@ class TestSelectionIndependence:
         # the witness pair sits on opposite branches of the same fiber
         assert abs(x.item() + y.item()) <= 1e-6
         assert rep.max_violation == pytest.approx(1.0, abs=1e-5)
+
+
+class _BoxWithoutBoundingBox(Box):
+    """A box that reports no bounding box, so it is not known to be compact."""
+
+    def bounding_box(self):
+        raise UnsupportedVariant("no bounding box")
 
 
 class TestGviProblem:
@@ -461,6 +425,33 @@ class TestGviProblem:
                 K=Box(np.zeros(1), np.ones(1)),
                 image_aK=Box(np.zeros(2), np.ones(2)),
             )
+
+    def test_K_must_be_compact(self):
+        # test_soundness.py holds the cone case
+        K = _BoxWithoutBoundingBox(np.zeros(2), np.ones(2))
+        for a in (Identity(2), PointwiseNonlinear("cube", 2)):
+            with pytest.raises(UnsupportedVariant, match="K must be compact"):
+                GviProblem(A=Identity(2), a=a, K=K, image_aK=Box(np.zeros(2), np.ones(2)))
+
+    def test_only_a_map_with_no_affine_form_needs_an_image(self):
+        K = Box(np.zeros(2), np.ones(2))
+        problem = GviProblem(A=Affine(np.eye(2), np.array([-0.5, -0.25])), a=Scale(2.0, Identity(2)), K=K)
+        assert problem.image_aK is None
+        rep = solve_gvi(problem)
+        assert (rep.reduction, rep.gap_kind) == ("x_space", "exact") and rep.converged
+        np.testing.assert_allclose(rep.solution, [0.5, 0.25], atol=1e-6)
+        with pytest.raises(UnsupportedVariant, match="needs its image_aK"):
+            GviProblem(A=Identity(2), a=PointwiseNonlinear("cube", 2), K=K)
+
+    def test_an_affine_map_skips_the_image_check(self):
+        # the solve of an affine map never reads the image, so a wrong one
+        # raises no warning; a map with no affine form still checks it
+        K = Box(np.zeros(1), np.ones(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ImageConsistencyWarning)
+            GviProblem(A=Identity(1), a=Identity(1), K=K, image_aK=Box([5.0], [6.0]))
+        with pytest.warns(ImageConsistencyWarning):
+            GviProblem(A=Identity(1), a=PointwiseNonlinear("cube", 1), K=K, image_aK=Box([5.0], [6.0]))
 
     def test_inversion_params_validate(self):
         with pytest.raises(ValueError):
@@ -729,6 +720,7 @@ class _KeyErrorSampling(Box):
         raise KeyError("sample")
 
 
-def test_gap_probes_do_not_swallow_programming_errors():
+def test_the_image_check_does_not_swallow_programming_errors():
+    K = _KeyErrorSampling(np.zeros(2), np.ones(2))
     with pytest.raises(KeyError):
-        default_gap_probes(_KeyErrorSampling(np.zeros(2), np.ones(2)))
+        gvi_module._image_miss(Identity(2), K, Box(np.zeros(2), np.ones(2)), 1)

@@ -122,12 +122,19 @@ class TestSchemaParsing:
         assert self._pointer_of(data) == "/image_set"
 
     def test_affine_map_derives_its_image(self):
-        # relative-monotone omits image_set; the affine image is derived
+        # relative-monotone omits image_set; as the g of a coincidence file
+        # its image g(K) is derived, since range_inclusion reads it
         raw = get_demo("relative-monotone")["problem"]
         assert "image_set" not in raw
-        problem = parse_problem(raw)
+        ops = raw["operators"]
+        problem = parse_problem(dict(raw, kind="coincidence", operators={"f": ops["A"], "g": ops["a"]}))
         assert problem.image_set is not None
         assert problem.image_set.dim == 2
+        # the gvi file solves in x-space and reads no image, so none is derived
+        problem = parse_problem(raw)
+        assert problem.image_set is None
+        report, code = cli.run_problem(problem)
+        assert code == 0 and report["exit_status"] == "certified"
 
     def test_operator_dimension_mismatch(self):
         data = _gvi_file_data()
@@ -292,10 +299,8 @@ class TestCli:
         code, report, _ = _run(capsys, ["solve-gvi", "/nonexistent.json", "--quiet"])
         assert code == 2
 
-    def test_certify_attaches_the_oracle(self, capsys, tmp_path, monkeypatch):
+    def test_certify_attaches_the_oracle(self, capsys, tmp_path):
         # the inner map is affine, so the gap is exact and no grid can refute it
-        grids = []
-        monkeypatch.setattr(cli, "brute_gap", lambda *args: grids.append(args))
         path = _write(tmp_path, _gvi_file_data())
         code, report, _ = _run(
             capsys, ["certify", path, "--resolution", "0.01", "--quiet"]
@@ -304,34 +309,76 @@ class TestCli:
         assert report["exit_status"] == "certified"
         assert report["gap_kind"] == "exact"
         assert report["oracle"] == {"skipped": "the gap is exact, so no grid can refute it"}
-        assert grids == []
 
-    def test_certify_runs_the_grid_gap_on_a_sampled_gap(self, capsys, tmp_path, monkeypatch):
-        # K is a cone: it has no linear minimizer and no bounding box, so the
-        # gap is sampled and the grid gap is attempted, which needs a lattice
-        # over K's bounding box and so reports why it could not run
+    @pytest.mark.parametrize("kind", ["vi", "gvi", "coincidence", "fixed_point"])
+    def test_a_cone_set_belongs_to_complementarity(self, capsys, tmp_path, kind):
+        # a gap minimized over the cone alone reads 0 at every point, so a
+        # cone set is refused; the same operator certifies as the LCP
+        lcp = get_demo("orthant-lcp")["problem"]
+        T, g = lcp["operators"]["T"], lcp["operators"]["g"]
+        ops = {"vi": {"A": T}, "gvi": {"A": T, "a": g},
+               "coincidence": {"f": T, "g": g}, "fixed_point": {"f": T}}[kind]
+        data = {"version": "1", "kind": kind, "operators": ops, "set": lcp["set"], "seed": 4}
+        code, report, err = _run(capsys, ["certify", _write(tmp_path, data)])
+        assert code == 2
+        assert report["exit_status"] == "schema_error"
+        assert report["error"] == {
+            "pointer": "/set",
+            "message": f"kind {kind!r} needs a compact set; a cone set belongs to kind 'complementarity'",
+        }
+        assert "Traceback" not in err
+        code, report, _ = _run(capsys, ["certify", _write(tmp_path, lcp), "--quiet"])
+        assert code == 0 and report["exit_status"] == "certified"
+        np.testing.assert_allclose(report["solution"], [1.0 / 3.0, 1.0 / 3.0], atol=1e-6)
+
+    def test_an_overflowing_enclosure_fails_without_a_traceback(self, capsys, tmp_path):
+        # a(x) = 1e308 x^3 - 1e308 x^3 + x evaluates to x on [-1, 1], but
+        # interval arithmetic pairs the extremes of the two cubes and overflows
+        big_cube = {"op": "scale", "factor": 1e308, "inner": {"op": "pointwise", "kind": "cube", "dim": 1}}
         data = {
             "version": "1",
             "kind": "gvi",
             "operators": {
-                "A": {"op": "affine", "matrix": [[2.0, 1.0], [1.0, 2.0]], "shift": [-1.0, -1.0]},
-                "a": {"op": "identity", "dim": 2},
+                "A": {"op": "affine", "matrix": [[1.0]], "shift": [-0.5]},
+                "a": {"op": "sum", "left": {"op": "difference", "left": big_cube, "right": big_cube},
+                      "right": {"op": "identity", "dim": 1}},
             },
-            "set": {"type": "cone", "generators": [[1.0, 0.0], [0.0, 1.0]]},
-            "seed": 4,
+            "set": {"type": "box", "lower": [-1.0], "upper": [1.0]},
+            "image_set": {"type": "box", "lower": [-1.0], "upper": [1.0]},
+            "seed": 2,
         }
-        grids = []
-        real = cli.brute_gap
-        monkeypatch.setattr(cli, "brute_gap", lambda *args: grids.append(args) or real(*args))
+        code, report, err = _run(capsys, ["certify", _write(tmp_path, data)])
+        assert code == 1
+        assert report["exit_status"] != "certified"
+        assert report["error"] == {
+            "type": "UnsupportedVariant", "message": "the interval enclosure of a on K overflows"
+        }
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"A": {"op": "sum", "left": {"op": "identity", "dim": 12},
+                   "right": {"op": "constant", "value": [0.3] * 12}},
+             "a": {"op": "scale", "factor": 2.0, "inner": {"op": "identity", "dim": 12}},
+             "set": {"type": "box", "lower": [-1.0] * 12, "upper": [1.0] * 12}},
+            {"A": {"op": "affine", "matrix": [[1.0, 0.0], [0.0, 1.0]], "shift": [-0.2, -0.4]},
+             "a": {"op": "affine", "matrix": [[1.0, 1.0], [1.0, 1.0]], "shift": [0.0, 0.0]},
+             "set": {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}},
+        ],
+        ids=["double-12", "singular-ball"],
+    )
+    def test_an_affine_gvi_needs_no_image(self, capsys, tmp_path, data):
+        # the x-space solve reads no image: 2I on [-1, 1]^12 has an image
+        # of dimension 12, beyond vertex enumeration, and a singular map on
+        # a Ball has no enumerable image at all
+        data = {"version": "1", "kind": "gvi", "seed": 3,
+                "operators": {"A": data["A"], "a": data["a"]}, "set": data["set"]}
+        assert validate(data) == []
         code, report, _ = _run(capsys, ["certify", _write(tmp_path, data), "--quiet"])
         assert code == 0
         assert report["exit_status"] == "certified"
-        assert report["gap_kind"] == "sampled"
-        np.testing.assert_allclose(report["solution"], [1.0 / 3.0, 1.0 / 3.0], atol=1e-6)
-        assert len(grids) == 1
-        assert report["oracle"] == {
-            "resolution": 0.05, "error": "PolyhedralCone has no bounding box"
-        }
+        assert (report["reduction"], report["gap_kind"]) == ("x_space", "exact")
 
     def test_tol_override_can_force_refutation(self, capsys, tmp_path):
         # an impossible coincidence tolerance turns a good solve into a
@@ -594,21 +641,30 @@ class TestAffineExpressions:
 
         monkeypatch.setattr(gvi, "jacobian_fd", refuse)
         monkeypatch.setattr(operators, "jacobian_fd", refuse)
+        double = {"op": "scale", "factor": 2.0, "inner": _ID2}
+        # f(x) = x + (0.5, 0.25) meets g(x) = 2x at (0.5, 0.25)
         data = {
             "version": "1",
-            "kind": "gvi",
+            "kind": "coincidence",
             "operators": {
-                "A": {"op": "affine", "matrix": [[1.0, 0.0], [0.0, 1.0]], "shift": [-0.5, -0.25]},
-                "a": {"op": "scale", "factor": 2.0, "inner": _ID2},
+                "f": {"op": "affine", "matrix": [[1.0, 0.0], [0.0, 1.0]], "shift": [0.5, 0.25]},
+                "g": double,
             },
             "set": _BOX2,
             "seed": 6,
         }
         problem = parse_problem(data)
         assert problem.image_set.contains([2.0, 0.0]) and not problem.image_set.contains([2.1, 0.0])
-        report, code = cli.run_problem(problem, certify=True)
-        assert code == 0 and report["exit_status"] == "certified"
-        np.testing.assert_allclose(report["solution"], [0.5, 0.25], atol=1e-6)
+        # the gvi file with A(x) = x - (0.5, 0.25) and a = g derives no image
+        gvi_data = dict(data, kind="gvi", operators={
+            "A": {"op": "affine", "matrix": [[1.0, 0.0], [0.0, 1.0]], "shift": [-0.5, -0.25]},
+            "a": double,
+        })
+        assert parse_problem(gvi_data).image_set is None
+        for problem in (problem, parse_problem(gvi_data)):
+            report, code = cli.run_problem(problem, certify=True)
+            assert code == 0 and report["exit_status"] == "certified"
+            np.testing.assert_allclose(report["solution"], [0.5, 0.25], atol=1e-6)
 
     @pytest.mark.parametrize(
         "inner",
@@ -623,20 +679,26 @@ class TestAffineExpressions:
     def test_affine_inner_maps_derive_their_image(self, inner):
         data = {
             "version": "1",
-            "kind": "gvi",
-            "operators": {"A": _ID2, "a": inner},
+            "kind": "coincidence",
+            "operators": {"f": _ID2, "g": inner},
             "set": _BOX2,
             "seed": 4,
         }
         problem = parse_problem(data)
-        a = problem.operators["a"]
+        g = problem.operators["g"]
         for v in problem.feasible_set.vertices():
-            assert problem.image_set.contains(a(v))
-        # a Ball enumerates no vertices, so its image still has to be declared
-        data["set"] = {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}
+            assert problem.image_set.contains(g(v))
+        # a Ball enumerates no vertices, so a coincidence file declares g(K)
+        ball = {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}
         with pytest.raises(SchemaError, match="cannot derive the image set") as exc:
-            parse_problem(data)
+            parse_problem(dict(data, set=ball))
         assert exc.value.pointer == "/image_set"
+        # a gvi file reads no image, on the box or on the Ball
+        for K in (_BOX2, ball):
+            problem = parse_problem(dict(data, kind="gvi", operators={"A": _ID2, "a": inner}, set=K))
+            assert problem.image_set is None
+            report, code = cli.run_problem(problem)
+            assert code == 0 and report["exit_status"] == "certified"
 
     def test_non_square_inner_map_certifies(self):
         # a(x) = (x1, x2, x1 + x2) is injective on [0, 1]^2, and A = a - a(0.5, 0.5)

@@ -3,7 +3,7 @@
 The gap ``min_{y in K} <A(x), a(y) - a(x)>`` is a linear minimization, so
 on every bounded set variant it is computed through
 ``ConvexSet.linear_min`` rather than over sampled probes.  Most cases
-are ones a sampled gap scores ``0.0`` and so certifies; the last ones
+are ones a sampled gap would score ``0.0`` and so certify; the last ones
 pin that a declared image that misses ``a(K)`` never stands in for it:
 a map with no affine form minimizes over its interval enclosure on K's
 bounding box, which holds ``a(K)`` whatever the image says.
@@ -283,14 +283,17 @@ def test_a_non_box_K_gives_a_lower_bound(capsys, tmp_path):
     assert report["oracle"] == {"skipped": "the gap is a lower bound, so no grid can refute it"}
 
 
-def test_an_overflowing_enclosure_falls_back_to_the_sampled_gap():
+def test_an_overflowing_enclosure_is_unsupported():
     # the cube of 1e120 overflows, so no finite box holds a(K)
     problem = SimpleNamespace(a=PointwiseNonlinear("cube", 1), K=Box([0.0], [1e120]))
-    with np.errstate(over="ignore"):
-        assert _linear_minimizer(problem) == (None, "sampled")
+    with pytest.raises(UnsupportedVariant, match="enclosure of a on K overflows"):
+        _linear_minimizer(problem)
 
 
-def test_a_cone_K_has_a_sampled_gap():
+def test_a_cone_K_is_rejected():
+    # a gap minimized over the cone alone would read 0 at every point; the
+    # cone belongs to the complementarity problem
     cone = PolyhedralCone(np.eye(2))
     for a in (Identity(2), PointwiseNonlinear("cube", 2)):
-        assert _linear_minimizer(SimpleNamespace(a=a, K=cone)) == (None, "sampled")
+        with pytest.raises(UnsupportedVariant, match="K must be compact"):
+            GviProblem(A=Identity(2), a=a, K=cone, image_aK=Box(np.zeros(2), np.ones(2)))
