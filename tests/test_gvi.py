@@ -225,7 +225,6 @@ class TestGviGap:
         assert gap == pytest.approx(-2.0, abs=1e-9)
 
 
-
 def _image_miss_by_loop(a, K, image, seed):
     rng = np.random.default_rng(seed)
     pts = np.atleast_2d(K.sample(rng, gvi_module._IMAGE_CHECK_SAMPLES))
