@@ -234,6 +234,7 @@ def run_problem(problem, certify=False, resolution=None, tol=None):
         "residuals": {},
         "gap_kind": None,
         "iterations": 0,
+        "stop_reason": None,
         "converged": False,
         "step_used": None,
         "hypothesis_reports": battery,
@@ -265,6 +266,7 @@ def run_problem(problem, certify=False, resolution=None, tol=None):
         report["residuals"] = cert.residuals
         report["gap_kind"] = rep.gap_kind
         report["iterations"] = rep.iterations
+        report["stop_reason"] = rep.stop_reason
         report["step_used"] = rep.step_used
         if cone is not None:
             report["complementarity"] = cert.complementarity.to_dict()
@@ -345,6 +347,7 @@ def _summary_line(report):
     for key in ("gap", "coincidence"):
         if key in residuals:
             parts.append(f"{key} {residuals[key]:.2e}")
+    parts.append(f"stop {report['stop_reason']}")
     return f"gvikit: {report['kind']} -> {status} ({', '.join(parts)})"
 
 

@@ -77,7 +77,7 @@ DEMOS = {
     },
     "linear-gvi": {
         "title": "One-dimensional linear pair",
-        "summary": "A(x) = x - 1.5 against a(x) = 2x on [0,1]; the image solve lands on u = 2, pulled back to x = 1.",
+        "summary": "A(x) = x - 1.5 against a(x) = 2x on [0,1]; the x-space VI of 2(x - 1.5) solves on the face x = 1, so u = 2.",
         "expect": {"solution": [1.0], "tol": 1e-6},
         "problem": {
             "version": "1",

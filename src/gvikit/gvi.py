@@ -399,6 +399,7 @@ def solve_gvi(problem, x0=None, record_history=False):
         iterations=rep.iterations,
         converged=rep.converged,
         step_used=rep.step_used,
+        stop_reason=rep.stop_reason,
         gap_certificate=gvi_gap(problem, x_star),
         history=rep.history,
         reduced_solution=u_star,

@@ -6,8 +6,13 @@ monotonicity to converge; the extragradient method adds a predictor
 evaluation and converges for merely monotone Lipschitz operators, which is
 what the reduced problems produced elsewhere in this package look like.
 
+For an affine F on a Box, projected iterations find the solution's face
+in finitely many steps (Calamai & More, Math. Program. 39, 1987), and on
+that face the solution is one linear solve, which the loop tries once per
+face that two successive iterates share.
+
 Failure to converge is an ordinary outcome here, reported through the
-``converged`` flag rather than an exception.
+``converged`` flag and ``stop_reason`` rather than an exception.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import NonConvergence, UnsupportedVariant
-from .geometry import as_vector
+from .geometry import Box, as_vector
 from .operators import OperatorExpr
 
 RESIDUAL_TOL = 1e-8
@@ -68,6 +73,7 @@ class SolveReport:
     iterations: int
     converged: bool
     step_used: float
+    stop_reason: str  # "residual", "max_iter" or "face_solve"
     gap_certificate: Optional[float] = None
     history: Optional[List[float]] = None
     iterates: Optional[List[np.ndarray]] = None
@@ -102,8 +108,9 @@ def _resolve_step(F, C, params):
     if params.step is not None:
         return params.step, params.step_rule == "backtracking"
     bound = F.lipschitz_bound() if isinstance(F, OperatorExpr) else None
-    if bound is not None and bound > 0:
-        return 0.9 / bound, params.step_rule == "backtracking"
+    if bound is not None:
+        # a bound of 0 is a constant F, which no step can make unstable
+        return (0.9 / bound if bound > 0 else 1.0), params.step_rule == "backtracking"
     est = _sampled_lipschitz(F, C)
     if est is None:
         return 1.0, True
@@ -133,17 +140,39 @@ def _backtrack(F, C, x, fx, y, fy, step, params):
     return y, fy, residual, step
 
 
+def _face_point(form, C, x):
+    """The solution of an affine ``F = M x + q`` on the face of C that x lies on.
+
+    Coordinates on a bound stay there; the free ones solve
+    ``M_FF z_F = -(q_F + M_FW z_W)`` by least squares, so a singular block
+    gives a point that the caller's residual test rejects.
+    """
+    m, q = form
+    free = (x > C.lower) & (x < C.upper)
+    z = x.copy()
+    if free.any():
+        rhs = -(q[free] + m[np.ix_(free, ~free)] @ x[~free])
+        z[free] = np.linalg.lstsq(m[np.ix_(free, free)], rhs, rcond=None)[0]
+    return C.project(z)
+
+
 def _iterate(F, C, params, x0, record_history, record_iterates, extragradient):
     """The loop both solvers share.
 
     Each iteration projects a step along ``F(x)`` to get ``y`` and stops
-    on ``|x - y|``.  The projection method moves to ``y``, backtracking
-    before the stop test; extragradient backtracks after it and moves to
-    the corrected point ``P_C(x - step * F(y))``.
+    on ``|x - y|`` or at the iteration cap.  The projection method moves
+    to ``y``, backtracking before the stop test; extragradient backtracks
+    after it and moves to the corrected point ``P_C(x - step * F(y))``.
+    For an affine F on a Box, an iterate on the same face as the previous
+    one (the coordinates ``np.clip`` put exactly on a bound) takes that
+    face's ``_face_point``, once per face, and stops there with
+    ``stop_reason = "face_solve"`` when it passes the residual test.
     """
     params = params if params is not None else SolverParams()
     x = C.project(np.zeros(C.dim) if x0 is None else as_vector(x0, C.dim, "x0"))
     step, backtrack = _resolve_step(F, C, params)
+    form = F.affine_form() if isinstance(F, OperatorExpr) and isinstance(C, Box) else None
+    tried, last_face = set(), None
     history = [] if record_history else None
     iterates = [x.copy()] if record_iterates else None
     iterations = 0
@@ -164,9 +193,24 @@ def _iterate(F, C, params, x0, record_history, record_iterates, extragradient):
                 iterations=iterations,
                 converged=residual <= params.residual_tol,
                 step_used=step,
+                stop_reason="residual" if residual <= params.residual_tol else "max_iter",
                 history=history,
                 iterates=iterates,
             )
+        if form is not None:
+            face = ((x == C.lower) + 2 * (x == C.upper)).tobytes()  # 1 lower, 2 upper
+            if face == last_face and face not in tried:
+                tried.add(face)
+                z = _face_point(form, C, x)
+                z_residual = natural_residual(F, C, z, step)
+                if z_residual <= params.residual_tol:
+                    if record_history:
+                        history.append(z_residual)
+                    return SolveReport(
+                        z, z_residual, iterations, True, step, "face_solve",
+                        history=history, iterates=iterates,
+                    )
+            last_face = face
         if extragradient:
             fy = np.asarray(F(y), dtype=float)
             if backtrack:

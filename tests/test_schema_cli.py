@@ -176,6 +176,16 @@ class TestCli:
         assert report["demo"] == "box-projection"
         assert "gvikit:" in err
 
+    def test_the_report_says_why_the_solver_stopped(self, capsys):
+        code, report, err = _run(capsys, ["demo", "identity-reduction"])
+        assert (code, report["exit_status"]) == (0, "certified")
+        assert list(report)[list(report).index("iterations") + 1] == "stop_reason"
+        assert (report["iterations"], report["stop_reason"]) == (2, "face_solve")
+        assert "stop face_solve" in err
+        code, report, err = _run(capsys, ["demo", "square-gvi"])
+        assert (report["iterations"], report["stop_reason"]) == (84, "residual")
+        assert "stop residual" in err
+
     def test_quiet_suppresses_the_summary(self, capsys):
         code, report, err = _run(capsys, ["demo", "box-projection", "--quiet"])
         assert code == 0
@@ -382,10 +392,9 @@ class TestCli:
 
     def test_tol_override_can_force_refutation(self, capsys, tmp_path):
         # an impossible coincidence tolerance turns a good solve into a
-        # certification failure, reported as a refuted hypothesis
-        path = _write(
-            tmp_path, copy.deepcopy(get_demo("linear-coincidence")["problem"])
-        )
+        # certification failure, reported as a refuted hypothesis; the
+        # problem is on a Ball, since a face solve on a Box can be exact
+        path = _write(tmp_path, copy.deepcopy(get_demo("rotation")["problem"]))
         code, report, _ = _run(
             capsys, ["find-coincidence", path, "--tol", "1e-15", "--quiet"]
         )

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from gvikit.geometry import Ball, Box
+from gvikit import vi
+from gvikit.geometry import Ball, Box, Simplex
+from gvikit.gvi import GviProblem, solve_gvi
 from gvikit.operators import Affine, Constant, PointwiseNonlinear, Rotation, Sum
 from gvikit.vi import (
     SolverParams,
@@ -154,6 +156,125 @@ class TestExtragradientSolver:
         rep = solve_extragradient(f, box)
         # Lipschitz constant is exactly 2, so the automatic step is 0.45.
         assert rep.step_used == pytest.approx(0.9 / 2.0)
+
+
+class TestZeroLipschitzBound:
+    def test_a_constant_operator_takes_step_one_without_probing(self, monkeypatch):
+        # an exact bound of 0 is known: no sampled estimate, no backtracking
+        probes = []
+        real = vi._sampled_lipschitz
+        monkeypatch.setattr(
+            vi, "_sampled_lipschitz", lambda F, C: probes.append(F) or real(F, C)
+        )
+        ball = Ball(np.zeros(2), 1.0)
+        f = Affine(np.zeros((2, 2)), np.array([0.6, -0.8]))
+        rep = solve_extragradient(f, ball)
+        assert probes == []
+        assert rep.step_used == 1.0
+        fixed = solve_extragradient(f, ball, SolverParams(step=1.0))
+        assert (rep.iterations, rep.solution.tolist()) == (fixed.iterations, fixed.solution.tolist())
+        np.testing.assert_allclose(rep.solution, [-0.6, 0.8], atol=1e-12)
+
+
+def _spy_faces(monkeypatch):
+    """Record every point ``vi._face_point`` returns."""
+    points = []
+    real = vi._face_point
+
+    def spy(form, C, x):
+        points.append(real(form, C, x))
+        return points[-1]
+
+    monkeypatch.setattr(vi, "_face_point", spy)
+    return points
+
+
+class TestFaceSolve:
+    def test_a_solution_on_a_face_is_solved_exactly(self):
+        # x0 = 1 at its upper bound with F_0 = -1.5 <= 0; F_1 = 2 x1 - 1 = 0
+        box = Box(np.zeros(2), np.ones(2))
+        f = Affine(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([-4.0, -2.0]))
+        rep = solve_extragradient(f, box, record_history=True)
+        assert rep.stop_reason == "face_solve"
+        assert rep.converged
+        np.testing.assert_allclose(rep.solution, [1.0, 0.5], rtol=0, atol=1e-12)
+        assert rep.history[-1] == rep.residual <= 1e-15
+
+    def test_a_bound_the_solution_leaves_is_not_accepted(self, monkeypatch):
+        # F = (x0 - x1 + 0.6, x1 - 0.9) solves at (0.3, 0.9), but the early
+        # iterates hold x0 = 0, whose face point (0, 0.9) is no solution
+        points = _spy_faces(monkeypatch)
+        box = Box(np.zeros(2), np.ones(2))
+        f = Affine(np.array([[1.0, -1.0], [0.0, 1.0]]), np.array([0.6, -0.9]))
+        rep = solve_extragradient(f, box)
+        np.testing.assert_allclose(points[0], [0.0, 0.9], atol=1e-15)
+        assert natural_residual(f, box, points[0], rep.step_used) > 0.1
+        assert rep.stop_reason == "face_solve"
+        np.testing.assert_allclose(rep.solution, [0.3, 0.9], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "matrix, shift, lower, upper, want",
+        [
+            ([[1.0, 1.0], [1.0, 1.0]], [1.0, -1.0], -1.0, 1.0, [-1.0, 1.0]),
+            ([[0.0, 0.0], [0.0, 0.0]], [1.0, 0.5], -10.0, 10.0, [-10.0, -10.0]),
+        ],
+        ids=["rank-one", "zero"],
+    )
+    def test_a_singular_free_block_falls_back_to_iterating(
+        self, monkeypatch, matrix, shift, lower, upper, want
+    ):
+        points = _spy_faces(monkeypatch)
+        box = Box(np.full(2, lower), np.full(2, upper))
+        f = Affine(np.array(matrix), np.array(shift))
+        rep = solve_extragradient(f, box)
+        assert points, "the face step never ran"
+        assert all(natural_residual(f, box, z, rep.step_used) > 1e-8 for z in points)
+        assert rep.stop_reason == "residual"
+        np.testing.assert_allclose(rep.solution, want, atol=1e-7)
+
+    def test_a_face_is_solved_at_most_once(self, monkeypatch):
+        points = _spy_faces(monkeypatch)
+        box = Box(np.full(2, -10.0), np.full(2, 10.0))
+        solve_extragradient(Affine(np.zeros((2, 2)), np.array([1.0, 0.5])), box)
+        # the interior face and the face x0 = -10, each tried once
+        assert len(points) == 2
+
+    def test_the_iteration_cap_comes_first(self):
+        box = Box(np.zeros(2), np.ones(2))
+        f = Affine(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([-4.0, -2.0]))
+        rep = solve_extragradient(f, box, SolverParams(max_iter=1))
+        assert (rep.iterations, rep.stop_reason, rep.converged) == (1, "max_iter", False)
+
+    @pytest.mark.parametrize(
+        "solve, iterations",
+        [
+            (lambda: solve_extragradient(
+                Affine(np.array([[2.0, 1.0], [-1.0, 2.0]]), np.array([-1.0, 0.5])),
+                Ball(np.zeros(2), 0.3),
+            ), 28),
+            (lambda: solve_extragradient(
+                Affine(
+                    np.array([[2.0, 1.0, 0.0], [-1.0, 2.0, 0.5], [0.0, -0.5, 1.0]]),
+                    np.array([-1.0, 0.2, 0.1]),
+                ),
+                Simplex(3),
+            ), 44),
+            (lambda: solve_gvi(GviProblem(
+                A=Sum(PointwiseNonlinear("square", 1), Constant(np.array([-0.5]))),
+                a=PointwiseNonlinear("square", 1),
+                K=Box(-np.ones(1), np.ones(1)),
+                image_aK=Box(np.zeros(1), np.ones(1)),
+            )), 84),
+        ],
+        ids=["ball", "simplex", "image-square"],
+    )
+    def test_other_sets_and_the_image_path_keep_their_iterations(
+        self, monkeypatch, solve, iterations
+    ):
+        points = _spy_faces(monkeypatch)
+        rep = solve()
+        assert points == []
+        assert (rep.iterations, rep.stop_reason) == (iterations, "residual")
 
 
 class TestSolverParams:
