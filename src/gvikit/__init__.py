@@ -30,7 +30,6 @@ from .geometry import (
     HPolytope,
     PolyhedralCone,
     Simplex,
-    affine_image_polytope,
     segment_distance,
     set_from_dict,
 )
@@ -47,13 +46,15 @@ from .operators import (
     SampleConfig,
     Scale,
     Sum,
+    affine_nonexpansive,
+    affine_range_inclusion,
     affine_relative_monotone,
     check_fiber_condition,
     check_g_nonexpansive,
-    check_g_pseudocontractive,
     check_monotone_relative,
     check_ql,
     check_range_inclusion,
+    fiber_factors,
     jacobian_fd,
     operator_from_dict,
 )
@@ -82,7 +83,6 @@ from .coincidence import (
     CoincidenceReport,
     find_coincidence,
     find_fixed_point,
-    precheck,
 )
 from .oracle import brute_coincidence, brute_gap, brute_vi_solve, grid_points
 from .schema import Problem, parse_problem, validate
@@ -129,7 +129,8 @@ __all__ = [
     "ToolkitError",
     "UnboundedSet",
     "UnsupportedVariant",
-    "affine_image_polytope",
+    "affine_nonexpansive",
+    "affine_range_inclusion",
     "affine_relative_monotone",
     "brute_coincidence",
     "brute_gap",
@@ -137,13 +138,13 @@ __all__ = [
     "certify",
     "check_fiber_condition",
     "check_g_nonexpansive",
-    "check_g_pseudocontractive",
     "check_monotone_relative",
     "check_ql",
     "check_range_inclusion",
     "check_selection_independence",
     "complementarity_check",
     "demo_names",
+    "fiber_factors",
     "find_coincidence",
     "find_fixed_point",
     "get_demo",
@@ -153,7 +154,6 @@ __all__ = [
     "natural_residual",
     "operator_from_dict",
     "parse_problem",
-    "precheck",
     "preimage_candidates",
     "segment_distance",
     "select_preimage",

@@ -18,7 +18,6 @@ import time
 import numpy as np
 
 from . import __version__
-from .coincidence import CoincidenceProblem, precheck
 from .demos import DEMOS, get_demo
 from .errors import SchemaError, ToolkitError
 from .gvi import (
@@ -34,10 +33,15 @@ from .operators import (
     Difference,
     Identity,
     SampleConfig,
+    affine_nonexpansive,
+    affine_range_inclusion,
     affine_relative_monotone,
     check_fiber_condition,
+    check_g_nonexpansive,
     check_monotone_relative,
     check_ql,
+    check_range_inclusion,
+    fiber_factors,
     proven_report,
 )
 from .oracle import brute_coincidence
@@ -50,15 +54,10 @@ CHECK_TOL = 1e-6
 DEFAULT_CHECK_SAMPLES = 200
 DEFAULT_RESOLUTION = 0.05
 
+# the other checks, ql and g_nonexpansive, are informational
 _LOAD_BEARING = {
-    "monotone_relative": True,
-    "affine_relative_monotone": True,
-    "range_inclusion": True,
-    "g_pseudocontractive": True,
-    "fiber_condition": True,
-    "selection_independence": True,
-    "ql": False,
-    "g_nonexpansive": False,
+    "monotone_relative", "affine_relative_monotone", "range_inclusion", "fiber_condition",
+    "selection_independence",
 }
 
 _COMMAND_KINDS = {
@@ -91,12 +90,17 @@ def _check_cfg(problem):
 
 
 def _monotone_report(T, t, K, cfg):
-    """Analytic verdict for square affine pairs, sampled verdict otherwise."""
+    """Analytic verdict for square affine pairs on the directions of K,
+    sampled verdict otherwise.  Where K does not know its directions, the
+    test on all of R^n can prove the property but not refute it."""
     forms = T.affine_form(), t.affine_form()
     if None not in forms:
         m, g = forms[0][0], forms[1][0]
         if m.shape[0] == m.shape[1] and m.shape == g.shape:
-            return affine_relative_monotone(m, g)
+            basis = K.span()
+            report = affine_relative_monotone(m, g, basis=basis)
+            if basis is not None or report.verdict == "proven":
+                return report
     return check_monotone_relative(T, t, K, cfg)
 
 
@@ -110,9 +114,9 @@ def _normalize(problem):
     domain and carries its ``cone``.  Unused extras are None.
     """
     ops, K = problem.operators, problem.feasible_set
-    image, pair, cone = problem.image_set, None, None
+    pair = cone = None
     if problem.kind == "vi":
-        A, a, image = ops["A"], Identity(K.dim), K
+        A, a = ops["A"], Identity(K.dim)
     elif problem.kind == "gvi":
         A, a = ops["A"], ops["a"]
     elif problem.kind == "complementarity":
@@ -120,47 +124,35 @@ def _normalize(problem):
     else:
         f, a = ops["f"], ops.get("g") or Identity(K.dim)
         A, pair = Difference(a, f), (f, a)
-        image = image if image is not None else K
-    gvi_problem = GviProblem(
-        A=A, a=a, K=K, image_aK=image, params=problem.solver, inversion=problem.inversion
-    )
+    gvi_problem = GviProblem(A, a, K, problem.image_set, problem.solver, problem.inversion)
     return gvi_problem, pair, cone
 
 
 def _entry(report):
     entry = report.to_dict()
-    entry["load_bearing"] = _LOAD_BEARING.get(entry["property"], False)
+    entry["load_bearing"] = entry["property"] in _LOAD_BEARING
     return entry
 
 
 def _battery(problem, gvi_problem, pair):
-    """The kind's hypothesis checks, as report entries marked load-bearing or not.
-
-    An inner map with a closed-form inverse has ``ql`` and the fiber
-    condition proven: an affine map sends segments to segments, and an
-    injective one has one-point fibers.
+    """The checks of the normalized ``(A, a, K)``, plus range inclusion and
+    g-nonexpansiveness for a pair, as report entries marked load-bearing or
+    not.  Each is decided in closed form where the affine forms allow it
+    (an affine map sends segments to segments) and sampled otherwise.
     """
     cfg = _check_cfg(problem)
-    A, a, K = gvi_problem.A, gvi_problem.a, gvi_problem.K
+    A, a, K, inv = gvi_problem.A, gvi_problem.a, gvi_problem.K, problem.inversion
+    reports = [
+        _monotone_report(A, a, K, cfg),
+        proven_report("ql") if a.affine_form() is not None else check_ql(a, K, cfg),
+        proven_report("fiber_condition") if fiber_factors(A, a)
+        else check_fiber_condition(A, a, K, cfg, inv),
+    ]
     if pair is not None:
         f, g = pair
-        reports = precheck(
-            CoincidenceProblem(
-                f=f, g=g, K=K, image_gK=gvi_problem.image_aK, inversion=problem.inversion
-            ),
-            cfg,
-        )
-        if problem.kind == "coincidence":
-            reports.append(check_ql(g, K, cfg))
-    elif problem.kind == "vi":
-        reports = [_monotone_report(A, a, K, cfg)]
-    else:
-        invertible = a.inverse() is not None
-        reports = [
-            _monotone_report(A, a, K, cfg),
-            proven_report("ql") if invertible else check_ql(a, K, cfg),
-            proven_report("fiber_condition") if invertible
-            else check_fiber_condition(A, a, K, cfg, problem.inversion),
+        reports += [
+            affine_range_inclusion(f, g, K, cfg.tol) or check_range_inclusion(f, g, K, cfg, inv),
+            affine_nonexpansive(f, g, K) or check_g_nonexpansive(f, g, K, cfg),
         ]
     return [_entry(report) for report in reports]
 
@@ -247,8 +239,7 @@ def run_problem(problem, certify=False, resolution=None, tol=None):
     t_solve = time.perf_counter()
     try:
         rep = solve_gvi(gvi_problem)
-        if problem.kind == "gvi":
-            battery.append(_entry(check_selection_independence(gvi_problem, rep.solution)))
+        battery.append(_entry(check_selection_independence(gvi_problem, rep.solution)))
         cert = certify_solve(
             gvi_problem,
             rep,

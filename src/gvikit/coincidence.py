@@ -10,13 +10,14 @@ special case.
 ``find_coincidence`` certifies the residual explicitly instead of trusting
 that argument, with the rule ``gvi.certify`` applies to every kind.  A
 solved inequality whose residual stays large is not an error: it comes
-back as a converged, uncertified report, and ``precheck`` names the
-hypothesis that usually broke (most often range inclusion).
+back as a converged, uncertified report, and the hypothesis that usually
+broke is range inclusion (``affine_range_inclusion``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -34,24 +35,22 @@ from .operators import (
     Identity,
     OperatorExpr,
     SampleConfig,
-    check_fiber_condition,
-    check_g_nonexpansive,
-    check_g_pseudocontractive,
+    affine_range_inclusion,
     check_range_inclusion,
 )
 from .vi import SolverParams
 
-_PRECHECK_SEED = 52802179
+_SELF_MAP_SEED = 52802179
 
 
 @dataclass
 class CoincidenceProblem:
-    """The pair (f, g) on K together with the declared image of g."""
+    """The pair (f, g) on K; only the solve of a g with no affine form reads ``image_gK``."""
 
     f: OperatorExpr
     g: OperatorExpr
     K: ConvexSet
-    image_gK: ConvexSet
+    image_gK: Optional[ConvexSet] = None
     params: SolverParams = field(default_factory=SolverParams)
     inversion: InversionParams = field(default_factory=InversionParams)
     coincidence_tol: float = COINCIDENCE_TOL
@@ -63,26 +62,6 @@ class CoincidenceReport(GviSolveReport):
     certified: bool = False
 
 
-def precheck(problem, cfg=None):
-    """Hypothesis reports for the pair, in load-bearing order.
-
-    Range inclusion of f(K) in g(K), the relative pseudocontractivity
-    inequality, plain g-nonexpansiveness (a stronger sufficient
-    condition), and the fiber condition for the reduction.
-    """
-    cfg = cfg if cfg is not None else SampleConfig(seed=_PRECHECK_SEED, samples=200)
-    return [
-        check_range_inclusion(
-            problem.f, problem.g, problem.K, problem.image_gK, cfg, problem.inversion
-        ),
-        check_g_pseudocontractive(problem.f, problem.g, problem.K, cfg),
-        check_g_nonexpansive(problem.f, problem.g, problem.K, cfg),
-        check_fiber_condition(
-            Difference(problem.g, problem.f), problem.g, problem.K, cfg, problem.inversion
-        ),
-    ]
-
-
 def find_coincidence(problem, x0=None):
     """Solve ``VI(g - f, g, K)`` for a coincidence point and certify it.
 
@@ -90,15 +69,11 @@ def find_coincidence(problem, x0=None):
     and pullback residuals are within tolerance, and ``|f(x) - g(x)| <=
     coincidence_tol``.  A miss is a status, never an exception.  A
     converged solve that misses (``converged=True``, ``certified=False``)
-    points to a violated hypothesis, which ``precheck(problem)`` names.
+    points to a violated hypothesis, most often range inclusion.
     """
     gvi_problem = GviProblem(
-        A=Difference(problem.g, problem.f),
-        a=problem.g,
-        K=problem.K,
-        image_aK=problem.image_gK,
-        params=problem.params,
-        inversion=problem.inversion,
+        Difference(problem.g, problem.f), problem.g, problem.K, problem.image_gK,
+        problem.params, problem.inversion,
     )
     rep = solve_gvi(gvi_problem, x0=x0)
     cert = certify(
@@ -117,22 +92,20 @@ def find_coincidence(problem, x0=None):
 def find_fixed_point(f, K, params=None, inversion=None, tol=COINCIDENCE_TOL, x0=None):
     """Fixed point of f on K as the coincidence of (f, identity).
 
-    Runs a sampled self-map check first; a violated report does not abort
-    the solve (the condition is sufficient, not necessary) but is attached
-    to the returned report as ``self_map_report``.
+    Runs the self-map check first, in closed form where it can; a violated
+    report does not abort the solve (the condition is sufficient, not
+    necessary) but is attached to the returned report as ``self_map_report``.
     """
     g = Identity(K.dim)
     problem = CoincidenceProblem(
-        f=f,
-        g=g,
-        K=K,
-        image_gK=K,
+        f=f, g=g, K=K,
         params=params if params is not None else SolverParams(),
         inversion=inversion if inversion is not None else InversionParams(),
         coincidence_tol=tol,
     )
-    cfg = SampleConfig(seed=_PRECHECK_SEED, samples=200)
-    self_map = check_range_inclusion(f, g, K, K, cfg, problem.inversion)
+    cfg = SampleConfig(seed=_SELF_MAP_SEED, samples=200)
+    self_map = affine_range_inclusion(f, g, K, cfg.tol)
+    self_map = self_map or check_range_inclusion(f, g, K, cfg, problem.inversion)
     report = find_coincidence(problem, x0=x0)
     report.self_map_report = self_map
     return report

@@ -7,7 +7,8 @@ form.  Halfspace intersections and cones project with a primal active-set
 method that starts from a stored feasible point (a vertex, or the apex)
 and reaches the exact projection in finitely many steps.  The four
 bounded variants also minimize a linear function in closed form
-(``linear_min``), which makes the gap certificate exact.
+(``linear_min``), which makes the gap certificate exact, and name the
+directions they span (``span``), on which the affine checks decide.
 
 All sets are immutable value objects and all operations are pure.
 """
@@ -175,6 +176,10 @@ class ConvexSet:
     def bounding_box(self):
         raise UnsupportedVariant(f"{type(self).__name__} has no bounding box")
 
+    def span(self):
+        """Orthonormal columns spanning the directions ``x - y`` of the set, or None if unknown."""
+        return None
+
     def linear_min(self, g):
         """A point of the set minimizing ``<g, x>``.
 
@@ -230,6 +235,9 @@ class Box(ConvexSet):
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
 
+    def span(self):
+        return np.eye(self.dim)[:, self.lower < self.upper]
+
     def linear_min(self, g):
         return np.where(as_vector(g, self.dim, "g") < 0.0, self.upper, self.lower)
 
@@ -281,6 +289,9 @@ class Ball(ConvexSet):
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
+
+    def span(self):
+        return np.eye(self.dim)
 
     def linear_min(self, g):
         g = as_vector(g, self.dim, "g")
@@ -339,6 +350,9 @@ class Simplex(ConvexSet):
 
     def bounding_box(self):
         return np.zeros(self.dim), np.ones(self.dim)
+
+    def span(self):
+        return _null_space(np.ones((1, self.dim)))
 
     def linear_min(self, g):
         return np.eye(self.dim)[int(np.argmin(as_vector(g, self.dim, "g")))]
@@ -485,6 +499,9 @@ class HPolytope(ConvexSet):
 
     def bounding_box(self):
         return self._vertices.min(axis=0), self._vertices.max(axis=0)
+
+    def span(self):
+        return _null_space(_null_space(self._vertices[1:] - self._vertices[0]).T)
 
     def linear_min(self, g):
         # a linear function attains its minimum over a polytope at a vertex
@@ -654,35 +671,6 @@ def _hull_halfspaces(points):
             rows.append(basis @ nrm)
             offsets.append(c + float((basis @ nrm) @ center))
     return np.array(rows), np.array(offsets)
-
-
-def affine_image_polytope(s, matrix, shift=None):
-    """Halfspace description of ``{matrix @ v + shift : v in s}``.
-
-    A Box or HPolytope ``{v : N v <= b}`` under a matrix M with a
-    ``stable_inverse`` maps onto ``{u : N M^-1 u <= b + N M^-1 shift}``.
-    Otherwise ``s`` must enumerate its vertices, and the image is the
-    convex hull of the mapped vertices; that path also covers singular
-    and non-square maps, whose images are lower-dimensional.
-    """
-    m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if m.shape[1] != s.dim:
-        raise DimensionMismatch(f"matrix has {m.shape[1]} columns, set has dim {s.dim}")
-    c = np.zeros(m.shape[0]) if shift is None else as_vector(shift, m.shape[0], "shift")
-    if m.shape[0] > VERTEX_ENUM_MAX_DIM:
-        raise DimensionTooLarge(
-            f"image dimension {m.shape[0]} exceeds {VERTEX_ENUM_MAX_DIM}"
-        )
-    inv = stable_inverse(m) if isinstance(s, (Box, HPolytope)) else None
-    if inv is None:
-        return HPolytope(*_hull_halfspaces(np.asarray(s.vertices()) @ m.T + c))
-    if isinstance(s, Box):
-        eye = np.eye(s.dim)
-        normals, offsets = np.vstack([eye, -eye]), np.concatenate([s.upper, -s.lower])
-    else:
-        normals, offsets = s.normals, s.offsets
-    mapped = normals @ inv
-    return HPolytope(mapped, offsets + mapped @ c)
 
 
 def set_from_dict(d):

@@ -42,6 +42,7 @@ from .operators import (
     Compose,
     OperatorExpr,
     _verdict,
+    fiber_factors,
     jacobian_fd,
     proven_report,
 )
@@ -528,11 +529,11 @@ def check_selection_independence(problem, x, inversion=None, tol=1e-6):
 
     Every alternative preimage y of ``a(x)`` reachable by the multistart
     search must carry the same operator value and must itself pass the gap
-    certificate, otherwise the report carries (x, y) as a witness.  An
-    inner map with a closed-form inverse has one preimage per point, so
-    the property is proven without a search.
+    certificate, otherwise the report carries (x, y) as a witness.  Where
+    ``fiber_factors`` holds, every preimage carries the same values of A
+    and a, so the property is proven without a search.
     """
-    if problem.a.inverse() is not None:
+    if fiber_factors(problem.A, problem.a):
         return proven_report("selection_independence")
     inv = inversion if inversion is not None else problem.inversion
     x = as_vector(x, problem.K.dim, "x")

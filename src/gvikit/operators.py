@@ -5,7 +5,7 @@ solvers are exercised with.  Every node evaluates on a single vector or on
 a batch whose last axis is the input dimension, which keeps the grid
 oracle vectorized.  Every node also answers one structure query,
 ``affine_form()``, defined once per node class; the closed-form inverse,
-the isometry test and the image of a polytope derive from it, so any
+the isometry test and the closed-form verdicts derive from it, so any
 affine expression (a ``Rotation``, a ``Scale``, ``Sum`` or ``Compose`` of
 affine maps) takes the closed-form paths, not only ``Identity`` and
 ``Affine``.  ``enclosure(lo, hi)`` bounds a node's values on a box by
@@ -18,8 +18,9 @@ its seed in a fixed order, evaluates every operator once on the stacked
 samples (batch evaluation), and hands the violation of each sample to one
 verdict rule.  A sampled check can refute a property (with a reproducible
 witness) but can only report that it held on the samples; ``proven`` is
-reserved for properties decided in closed form (``affine_relative_monotone``
-and ``proven_report``).
+reserved for properties decided in closed form from the affine forms and
+the set (``affine_relative_monotone``, ``affine_range_inclusion``,
+``affine_nonexpansive`` and ``fiber_factors``).
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InversionFailed, UnsupportedVariant
+from .errors import DimensionMismatch, DimensionTooLarge, InversionFailed, UnsupportedVariant
 from .geometry import (
+    Ball,
+    Box,
     _exact_distances,
-    affine_image_polytope,
+    _null_space,
     as_vector,
     segment_distance,
     stable_inverse,
@@ -84,11 +87,6 @@ class OperatorExpr:
         gram = None if form is None else form[0].T @ form[0]
         return gram is not None and np.allclose(gram, np.eye(self.in_dim), 0.0, ISOMETRY_TOL)
 
-    def image(self, K):
-        """The exact image polytope of K (``affine_image_polytope``) for an affine map, else None."""
-        form = self.affine_form()
-        return None if form is None else affine_image_polytope(K, *form)
-
     def enclosure(self, lo, hi):
         """``(l, u)`` with ``l <= self(x) <= u`` for every x in the box ``[lo, hi]``.
 
@@ -135,9 +133,6 @@ class Identity(OperatorExpr):
 
     def inverse(self):
         return self
-
-    def image(self, K):
-        return K
 
     def to_dict(self):
         return {"op": "identity", "dim": self.in_dim}
@@ -484,18 +479,15 @@ def _increments(op, x, y):
     return v[: len(x)] - v[len(x) :]
 
 
-def _rowdot(u, v):
-    return np.einsum("ij,ij->i", u, v)
-
-
-def _verdict(name, viol, witness, tol, samples=None):
-    """The report of a sampled check from its violation vector.
+def _verdict(name, viol, witness, tol, samples=None, holds="holds_on_samples"):
+    """The report of a check from its violation vector.
 
     ``viol[i]`` scores sample i, whose points are row i of each stack in
     ``witness``.  The first of the worst samples decides, and it is the
     witness when it exceeds ``tol``.  A sample whose violation is NaN
     cannot be scored, so it never decides.  ``samples`` defaults to the
     length of ``viol``; with no samples the property holds at violation 0.0.
+    A passing check reads ``holds``, ``"proven"`` when its points decide it.
     """
     viol = np.asarray(viol, dtype=float)
     viol = np.where(np.isnan(viol), -np.inf, viol)
@@ -505,7 +497,7 @@ def _verdict(name, viol, witness, tol, samples=None):
     if worst > tol:
         witness = tuple(np.array(w[i]) for w in witness)
         return PropertyReport(name, "violated", witness, samples, worst)
-    return PropertyReport(name, "holds_on_samples", None, samples, worst)
+    return PropertyReport(name, holds, None, samples, worst)
 
 
 def check_monotone_relative(T, t, K, cfg):
@@ -515,29 +507,36 @@ def check_monotone_relative(T, t, K, cfg):
     functional is the negated inner product.
     """
     x, y = _draw(K, cfg.seed, cfg.samples)
-    viol = -_rowdot(_increments(T, x, y), _increments(t, x, y))
+    viol = -np.einsum("ij,ij->i", _increments(T, x, y), _increments(t, x, y))
     return _verdict("monotone_relative", viol, (x, y), cfg.tol)
 
 
-def affine_relative_monotone(matrix, relative_matrix, psd_tol=PSD_TOL):
+def _on_directions(q, basis):
+    """Eigenvalues and eigenvectors of the symmetric q on the orthonormal
+    columns of ``basis`` (all of R^n when None), the vectors in R^n."""
+    b = np.eye(len(q)) if basis is None else basis
+    w, v = np.linalg.eigh(b.T @ q @ b)
+    return w, b @ v
+
+
+def affine_relative_monotone(matrix, relative_matrix, psd_tol=PSD_TOL, basis=None):
     """Analytic relative-monotonicity test for the affine pair (M, G).
 
-    ``x -> Mx + q`` is monotone relative to ``x -> Gx + h`` exactly when
-    the symmetric part of ``M^T G`` is positive semidefinite, so an
-    eigenvalue decomposition decides the property outright.
+    ``x -> Mx + q`` is monotone relative to ``x -> Gx + h`` on K exactly
+    when ``d^T M^T G d >= 0`` for every direction d of K (``K.span()``,
+    passed as ``basis``; all of R^n when None), so an eigenvalue
+    decomposition decides it outright.  A violation's witness is ``(d, 0)``.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     g = np.atleast_2d(np.asarray(relative_matrix, dtype=float))
     if m.shape != g.shape or m.shape[0] != m.shape[1]:
         raise DimensionMismatch("both matrices must be square with equal shapes")
-    sym = 0.5 * (m.T @ g + g.T @ m)
-    w, vecs = np.linalg.eigh(sym)
-    lmin = float(w[0])
+    w, vecs = _on_directions(0.5 * (m.T @ g + g.T @ m), basis)
+    lmin = float(w[0]) if w.size else 0.0
     if lmin >= -psd_tol:
         return PropertyReport("affine_relative_monotone", "proven", None, 0, -lmin)
-    d = vecs[:, 0]
     return PropertyReport(
-        "affine_relative_monotone", "violated", (d, np.zeros(m.shape[0])), 0, -lmin
+        "affine_relative_monotone", "violated", (vecs[:, 0], np.zeros(m.shape[0])), 0, -lmin
     )
 
 
@@ -563,38 +562,94 @@ def check_g_nonexpansive(f, g, K, cfg):
     return _verdict("g_nonexpansive", df - dg, (x, y), cfg.tol)
 
 
-def check_g_pseudocontractive(f, g, K, cfg):
-    """Sampled test of ``<f(x) - f(y), g(x) - g(y)> <= |g(x) - g(y)|^2``.
+def affine_nonexpansive(f, g, K, psd_tol=PSD_TOL):
+    """``|f(x) - f(y)| <= |g(x) - g(y)|`` on K proven from the affine forms, or None.
 
-    Equivalent to ``g - f`` being monotone relative to ``g``, which is the
-    inequality the coincidence solver leans on; with ``g`` the identity it
-    is the classical pseudocontractivity of ``f``.
+    It holds when ``M_f^T M_f - M_g^T M_g``, whose largest eigenvalue is the
+    ``max_violation``, is negative semidefinite on the directions of K.
     """
-    x, y = _draw(K, cfg.seed, cfg.samples)
-    df, dg = _increments(f, x, y), _increments(g, x, y)
-    return _verdict("g_pseudocontractive", _rowdot(df, dg) - _rowdot(dg, dg), (x, y), cfg.tol)
+    forms = f.affine_form(), g.affine_form()
+    if None in forms:
+        return None
+    (mf, _), (mg, _) = forms
+    w, _ = _on_directions(mf.T @ mf - mg.T @ mg, K.span())
+    lmax = float(w[-1]) if w.size else 0.0
+    return PropertyReport("g_nonexpansive", "proven", None, 0, lmax) if lmax <= psd_tol else None
 
 
-def check_range_inclusion(f, g, K, gK, cfg, inversion=None):
-    """Sampled test that ``f`` maps K into the declared image of ``g``.
+def affine_range_inclusion(f, g, K, tol):
+    """``f(K)`` inside ``g(K)`` decided in closed form, or None to leave it to sampling.
 
-    Every sampled ``f(x)`` must lie in ``gK`` up to ``cfg.tol``; for a
-    capped prefix of the samples the check also inverts ``g`` at ``f(x)``
-    to confirm the point is reachable, since the declared image can
-    overestimate the true range.
+    ``f(x)`` lies in ``g(K)`` exactly when ``T(x) = g^-1(f(x))`` lies in K,
+    which the vertices of the convex K decide for an affine T.  On a Box,
+    ``T.enclosure`` gives each coordinate's exact range, and the violation
+    is its largest excess, at the vertex where T reaches it; other sets
+    score the distance of each vertex image from K.  On a Ball(c, r),
+    ``|T(c) - c| + r |M_T|_2 <= r`` proves the property.
+    """
+    inverse = g.inverse()
+    form = None if inverse is None else Compose(inverse, f).affine_form()
+    if form is None:
+        return None
+    T = Affine(*form)
+    if isinstance(K, Box):
+        lo, hi = T.enclosure(K.lower, K.upper)
+        # row i of the first half is the vertex where T_i peaks, of the second where it bottoms
+        up = T.matrix >= 0.0
+        corners = np.vstack([np.where(up, K.upper, K.lower), np.where(up, K.lower, K.upper)])
+        viol = np.concatenate([hi - K.upper, K.lower - lo])
+        return _verdict("range_inclusion", viol, (corners,), tol, 0, "proven")
+    if isinstance(K, Ball):
+        spread = K.radius * (float(np.linalg.norm(T.matrix, 2)) - 1.0)
+        excess = float(np.linalg.norm(T(K.center) - K.center)) + spread
+        return PropertyReport("range_inclusion", "proven", None, 0, excess) if excess <= tol else None
+    try:
+        v = K.vertices()
+    except (UnsupportedVariant, DimensionTooLarge):
+        return None
+    return _verdict("range_inclusion", _exact_distances(K, T(v)), (v,), tol, 0, "proven")
+
+
+def check_range_inclusion(f, g, K, cfg, inversion=None):
+    """Sampled test that ``f`` maps K into ``g(K)``.
+
+    With g's closed-form inverse the violation at x is the distance of
+    ``g^-1(f(x))`` from K.  Otherwise it is the distance of ``f(x)`` from
+    ``g.enclosure`` on K's bounding box, a box that holds ``g(K)``; since
+    it can overestimate the range, a capped prefix of the samples also
+    inverts ``g`` at ``f(x)`` to confirm the point is reachable.
     """
     from .gvi import InversionParams, select_preimage
 
-    inv = inversion if inversion is not None else InversionParams()
     (x,) = _draw(K, cfg.seed, cfg.samples, points=1)
     fx = np.asarray(f(x), dtype=float)
-    viol = _exact_distances(gK, fx)
+    inverse = g.inverse()
+    if inverse is not None:
+        viol = _exact_distances(K, np.asarray(inverse(fx), dtype=float))
+        return _verdict("range_inclusion", viol, (x,), cfg.tol)
+    inv = inversion if inversion is not None else InversionParams()
+    lo, hi = g.enclosure(*K.bounding_box())
+    viol = np.linalg.norm(fx - np.clip(fx, lo, hi), axis=1)
     for i in range(min(cfg.samples, _INVERT_CHECK_CAP)):
         try:
             select_preimage(g, K, fx[i], inv)
         except InversionFailed as err:
             viol[i] = max(viol[i], float(err.best_residual or math.inf))
     return _verdict("range_inclusion", viol, (x,), cfg.tol)
+
+
+def fiber_factors(A, a, tol=PSD_TOL):
+    """Whether the affine forms prove that ``a(x) = a(y)`` forces ``A(x) = A(y)``.
+
+    For an affine a, ``a(x) = a(y)`` puts ``x - y`` in the null space N of
+    ``M_a``, on which an affine A with ``|M_A N| <= tol`` is constant.  Equal
+    values of A and a give equal gaps, so this proves selection independence.
+    """
+    form = a.affine_form()
+    if form is None:
+        return False
+    null, form_A = _null_space(form[0]), A.affine_form()
+    return null.shape[1] == 0 or (form_A is not None and np.linalg.norm(form_A[0] @ null, 2) <= tol)
 
 
 def check_fiber_condition(A, a, K, cfg, inversion=None, match_tol=FIBER_MATCH_TOL):

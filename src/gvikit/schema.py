@@ -225,17 +225,6 @@ class Problem:
     raw: dict
 
 
-def _derive_image(mapping, base, pointer):
-    """``mapping.image(base)`` for the affine ``g`` of a coincidence file,
-    whose ``check_range_inclusion`` reads ``g(K)``: not only ``Identity``
-    and ``Affine`` but also a ``Rotation`` or a ``Scale``, ``Sum`` or
-    ``Compose`` of affine maps."""
-    try:
-        return mapping.image(base)
-    except ToolkitError as err:
-        raise SchemaError(pointer, f"cannot derive the image set: {err}") from err
-
-
 def parse_problem(data):
     """Validate ``data`` against the closed schema and build a Problem."""
     d = _expect_dict(data, "")
@@ -297,8 +286,6 @@ def parse_problem(data):
     elif inner is not None and operators[inner].affine_form() is None:
         # only a map with no affine form is solved on its image
         raise SchemaError("/image_set", "image_set is required when the inner map is not affine")
-    elif kind == "coincidence":
-        image_set = _derive_image(operators["g"], feasible, "/image_set")
 
     base = domain if kind == "complementarity" else feasible
     for name, op in operators.items():
@@ -348,8 +335,7 @@ def validate(data):
     Returns a list of ``{"severity", "pointer", "message"}`` entries:
     schema violations as errors, plus image-consistency warnings for a
     file that declares its image set, over a sample of the set and, for
-    an inner map that is not affine, its vertices.  A coincidence image
-    derived as ``g(K)`` holds by construction and is not checked.
+    an inner map that is not affine, its vertices.
     """
     diagnostics = []
     try:

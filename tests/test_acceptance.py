@@ -22,7 +22,6 @@ from gvikit.geometry import (
     HPolytope,
     PolyhedralCone,
     Simplex,
-    affine_image_polytope,
 )
 from gvikit.gvi import (
     GviProblem,
@@ -261,7 +260,9 @@ def test_criterion_04_monotone_reduction():
             A = Affine(M, rng.uniform(-1.0, 1.0, size=dim))
             a = Affine(G, rng.uniform(-1.0, 1.0, size=dim))
             K = Box(-np.ones(dim), np.ones(dim))
-            image = affine_image_polytope(K, G, a.shift)
+            # a(K) = {u : N G^-1 (u - c) <= 1} for the box's facets N
+            normals = np.vstack([np.eye(dim), -np.eye(dim)]) @ np.linalg.inv(G)
+            image = HPolytope(normals, np.ones(2 * dim) + normals @ a.shift)
             reduced = ReducedOperator(A, a, K)
             report = check_monotone_relative(
                 reduced,

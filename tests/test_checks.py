@@ -9,7 +9,9 @@ from gvikit import (
     Affine,
     Ball,
     Box,
+    Compose,
     Constant,
+    Difference,
     HPolytope,
     Identity,
     PointwiseNonlinear,
@@ -19,15 +21,18 @@ from gvikit import (
     Scale,
     Simplex,
     Sum,
+    affine_nonexpansive,
+    affine_range_inclusion,
     affine_relative_monotone,
     check_fiber_condition,
     check_g_nonexpansive,
-    check_g_pseudocontractive,
     check_monotone_relative,
     check_ql,
     check_range_inclusion,
+    fiber_factors,
     segment_distance,
 )
+from gvikit import cli
 from gvikit import gvi as gvi_module
 from gvikit import operators as operators_module
 from gvikit.errors import DimensionMismatch, InversionFailed
@@ -158,14 +163,17 @@ class TestNonexpansiveAndPseudocontractive:
         rep = check_g_nonexpansive(Rotation(0.7), Affine(2 * np.eye(2)), UNIT_BOX, CFG)
         assert rep.verdict == "holds_on_samples"
 
+    # f is pseudocontractive relative to g exactly when g - f is monotone relative to g
+
     def test_crossing_lines_pseudocontractive(self):
         f = Affine([[1.0]], [0.5])
         g = Affine([[2.0]], [0.0])
-        rep = check_g_pseudocontractive(f, g, Box([0.0], [1.0]), CFG)
+        rep = check_monotone_relative(Difference(g, f), g, Box([0.0], [1.0]), CFG)
         assert rep.verdict == "holds_on_samples"
 
     def test_triple_expansion_violates(self):
-        rep = check_g_pseudocontractive(Scale(3.0, Identity(1)), Identity(1), SYM_BOX, CFG)
+        f, g = Scale(3.0, Identity(1)), Identity(1)
+        rep = check_monotone_relative(Difference(g, f), g, SYM_BOX, CFG)
         assert rep.verdict == "violated"
         x, y = rep.witness
         viol = 3 * (x - y) * (x - y) - (x - y) ** 2
@@ -191,14 +199,12 @@ class TestNonexpansiveAndPseudocontractive:
 
 class TestRangeInclusion:
     def test_constant_inside(self):
-        rep = check_range_inclusion(
-            Constant([0.25, 0.75]), Identity(2), UNIT_BOX, UNIT_BOX, CFG
-        )
+        rep = check_range_inclusion(Constant([0.25, 0.75]), Identity(2), UNIT_BOX, CFG)
         assert rep.verdict == "holds_on_samples"
 
     def test_translation_escapes(self):
         f = Affine(np.eye(2), [2.0, 0.0])
-        rep = check_range_inclusion(f, Identity(2), UNIT_BOX, UNIT_BOX, CFG)
+        rep = check_range_inclusion(f, Identity(2), UNIT_BOX, CFG)
         assert rep.verdict == "violated"
         (x,) = rep.witness
         assert UNIT_BOX.distance(f(x)) > CFG.tol
@@ -206,8 +212,7 @@ class TestRangeInclusion:
     def test_doubling_covers_shifted_line(self):
         f = Affine([[1.0]], [0.5])
         g = Affine([[2.0]], [0.0])
-        image = Box([0.0], [2.0])
-        rep = check_range_inclusion(f, g, Box([0.0], [1.0]), image, CFG)
+        rep = check_range_inclusion(f, g, Box([0.0], [1.0]), CFG)
         assert rep.verdict == "holds_on_samples"
 
 
@@ -232,6 +237,124 @@ class TestFiberCondition:
         A = PointwiseNonlinear("cube", 1)
         rep = check_fiber_condition(A, Affine([[2.0]], [1.0]), SYM_BOX, self.FIBER_CFG)
         assert rep.verdict == "holds_on_samples"
+
+
+class _SpanUnknown(Simplex):
+    """A simplex that does not report its directions."""
+
+    def span(self):
+        return None
+
+
+class TestClosedForms:
+    """Verdicts decided from the affine forms and the set, with no sample."""
+
+    def test_relative_monotone_on_the_directions_of_k(self):
+        m = np.array([[1.0, -2.0], [-2.0, 1.0]])
+        assert affine_relative_monotone(m, np.eye(2)).verdict == "violated"
+        rep = affine_relative_monotone(m, np.eye(2), basis=Simplex(2).span())
+        assert rep.verdict == "proven"
+        assert rep.max_violation == pytest.approx(-3.0)
+        # a box that pins its second coordinate only moves along e1
+        flat = Box([0.0, 0.5], [1.0, 0.5])
+        rep = affine_relative_monotone(np.diag([1.0, -1.0]), np.eye(2), basis=flat.span())
+        assert rep.verdict == "proven"
+        rep = affine_relative_monotone(np.diag([-1.0, 1.0]), np.eye(2), basis=flat.span())
+        assert rep.verdict == "violated"
+        d, origin = rep.witness
+        np.testing.assert_allclose(np.abs(d), [1.0, 0.0])
+        np.testing.assert_array_equal(origin, np.zeros(2))
+
+    def test_unknown_span_falls_back_to_sampling(self):
+        A = Affine([[1.0, -2.0], [-2.0, 1.0]], [0.0, 0.5])
+        rep = cli._monotone_report(A, Identity(2), _SpanUnknown(2), CFG)
+        assert (rep.property, rep.verdict) == ("monotone_relative", "holds_on_samples")
+        rep = cli._monotone_report(Affine(np.eye(2)), Identity(2), _SpanUnknown(2), CFG)
+        assert (rep.property, rep.verdict) == ("affine_relative_monotone", "proven")
+
+    def test_nonexpansive_on_the_directions_of_k(self):
+        # f collapses every direction of the simplex, but doubles (1, 1)
+        f, g = Affine([[1.0, 1.0], [1.0, 1.0]]), Identity(2)
+        assert affine_nonexpansive(f, g, Simplex(2)).verdict == "proven"
+        assert affine_nonexpansive(f, g, UNIT_BOX) is None
+        assert affine_nonexpansive(f, g, _SpanUnknown(2)) is None
+        rep = affine_nonexpansive(Rotation(0.7), Affine(2 * np.eye(2)), UNIT_BOX)
+        assert (rep.verdict, rep.samples_used) == ("proven", 0)
+        assert rep.max_violation == pytest.approx(-3.0)
+        assert affine_nonexpansive(Scale(0.5, _TANH), Identity(3), _SETS_3D["box"]) is None
+
+    def test_range_inclusion_on_a_box_names_a_vertex(self):
+        K = Box([0.0, 0.0, -1.0], [1.0, 2.0, 1.0])
+        f = Affine([[0.5, 0.2, 0.0], [0.0, 1.0, -0.3], [0.1, 0.0, 0.4]], [0.1, 0.0, 0.7])
+        rep = affine_range_inclusion(f, Identity(3), K, 1e-9)
+        assert (rep.verdict, rep.samples_used) == ("violated", 0)
+        (v,) = rep.witness
+        assert np.all((v == K.lower) | (v == K.upper))
+        excess = np.maximum(f(v) - K.upper, K.lower - f(v))
+        assert np.max(excess) == pytest.approx(rep.max_violation)
+        # the enclosure is the exact range: no sample leaves by more
+        sampled = check_range_inclusion(f, Identity(3), K, SampleConfig(seed=5, samples=2000))
+        assert sampled.verdict == "violated"
+        assert sampled.max_violation <= rep.max_violation * np.sqrt(3) + 1e-12
+        shrink = Affine(0.5 * np.eye(3), 0.5 * (K.lower + K.upper) / 2)
+        assert affine_range_inclusion(shrink, Identity(3), K, 1e-9).verdict == "proven"
+
+    def test_range_inclusion_through_the_inverse(self):
+        # f(K) inside g(K) exactly when g^-1(f(K)) inside K
+        g = Affine([[2.0, 1.0], [0.0, 1.0]], [1.0, -1.0])
+        inside = Compose(g, Affine(0.5 * np.eye(2), [0.2, 0.3]))
+        assert affine_range_inclusion(inside, g, UNIT_BOX, 1e-9).verdict == "proven"
+        outside = Compose(g, Affine(np.eye(2), [0.2, 0.0]))
+        rep = affine_range_inclusion(outside, g, UNIT_BOX, 1e-9)
+        assert rep.verdict == "violated"
+        (v,) = rep.witness
+        assert UNIT_BOX.distance(g.inverse()(outside(v))) > 1e-9
+        # a g with no inverse, or an f that is not affine, is left to sampling
+        assert affine_range_inclusion(Identity(2), Affine([[1.0, 1.0], [1.0, 1.0]]), UNIT_BOX, 1e-9) is None
+        assert affine_range_inclusion(PointwiseNonlinear("square", 2), Identity(2), UNIT_BOX, 1e-9) is None
+
+    @pytest.mark.parametrize("set_name", ["simplex", "hpolytope"])
+    def test_range_inclusion_on_vertices_agrees_with_sampling(self, set_name):
+        K = _SETS_3D[set_name]
+        rng = np.random.default_rng(21)
+        center = K.vertices().mean(axis=0)
+        span = K.span()
+        for case in range(12):
+            # shrink or stretch about the center, then move along K's directions
+            scale = rng.uniform(0.3, 1.3)
+            shift = (1.0 - scale) * center + span @ rng.normal(scale=0.1, size=span.shape[1])
+            f = Affine(scale * np.eye(3), shift)
+            rep = affine_range_inclusion(f, Identity(3), K, 1e-9)
+            sampled = check_range_inclusion(f, Identity(3), K, SampleConfig(seed=case, samples=300))
+            assert rep.samples_used == 0
+            if rep.verdict == "proven":
+                assert sampled.verdict == "holds_on_samples"
+            else:
+                (v,) = rep.witness
+                assert any(np.array_equal(v, w) for w in K.vertices())
+                assert K.distance(f(v)) == pytest.approx(rep.max_violation)
+                assert sampled.max_violation <= rep.max_violation + 1e-12
+
+    def test_range_inclusion_on_a_ball_is_sufficient(self):
+        K = Ball([0.25, 0.25], 1.0)
+        turn = 0.8 * Rotation(1.0).matrix
+        about_center = Affine(turn, K.center - turn @ K.center)
+        rep = affine_range_inclusion(about_center, Identity(2), K, 1e-9)
+        assert (rep.verdict, rep.samples_used) == ("proven", 0)
+        assert rep.max_violation == pytest.approx(-0.2)
+        # the quarter turn about 0 moves this ball off itself: left to sampling
+        assert affine_range_inclusion(Rotation(np.pi / 2), Identity(2), K, 1e-9) is None
+
+    def test_fiber_factors(self):
+        singular = Affine([[1.0, 1.0], [1.0, 1.0]])
+        # A(x) = (x1 + x2, 2 x1 + 2 x2) is constant wherever a is
+        assert fiber_factors(Affine([[1.0, 1.0], [2.0, 2.0]], [0.5, 0.0]), singular)
+        assert not fiber_factors(Identity(2), singular)
+        assert not fiber_factors(SQUARE, Affine([[0.0]]))
+        # an injective a has one-point fibers, whatever A is
+        tall = Affine([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert fiber_factors(PointwiseNonlinear("cube", 3), tall)
+        assert not fiber_factors(SQUARE, SQUARE)
 
 
 def test_report_to_dict_is_jsonable():
@@ -279,15 +402,6 @@ def _nonexpansive_by_loop(f, g, K, cfg):
         return df - dg
 
     return _scan_pairs_by_loop("g_nonexpansive", K, cfg, viol)
-
-
-def _pseudocontractive_by_loop(f, g, K, cfg):
-    def viol(x, y):
-        df = np.asarray(f(x), float) - f(y)
-        dg = np.asarray(g(x), float) - g(y)
-        return float(np.dot(df, dg) - np.dot(dg, dg))
-
-    return _scan_pairs_by_loop("g_pseudocontractive", K, cfg, viol)
 
 
 def _ql_by_loop(g, K, cfg):
@@ -377,13 +491,14 @@ _CHECKS = {
         lambda K, c: _nonexpansive_by_loop(Scale(1.5, _TANH), Identity(3), K, c),
         200,
     ),
+    # f = 2.5 tanh pseudocontractive relative to g = _SHEAR: g - f monotone relative to g
     "pseudocontractive": (
-        lambda K, c: check_g_pseudocontractive(Scale(2.5, _TANH), _SHEAR, K, c),
-        lambda K, c: _pseudocontractive_by_loop(Scale(2.5, _TANH), _SHEAR, K, c),
+        lambda K, c: check_monotone_relative(Difference(_SHEAR, Scale(2.5, _TANH)), _SHEAR, K, c),
+        lambda K, c: _monotone_by_loop(Difference(_SHEAR, Scale(2.5, _TANH)), _SHEAR, K, c),
         200,
     ),
     "range_inclusion": (
-        lambda K, c: check_range_inclusion(_SHIFT, Identity(3), K, K, c),
+        lambda K, c: check_range_inclusion(_SHIFT, Identity(3), K, c),
         lambda K, c: _range_inclusion_by_loop(_SHIFT, Identity(3), K, K, c),
         200,
     ),

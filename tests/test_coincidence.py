@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from gvikit.geometry import Ball, Box, affine_image_polytope
+from gvikit import cli
+from gvikit.geometry import Ball, Box
 from gvikit.coincidence import (
     CoincidenceProblem,
     find_coincidence,
     find_fixed_point,
-    precheck,
 )
-from gvikit.operators import Affine, Constant, Identity, Rotation, SampleConfig
+from gvikit.operators import Affine, Constant, Identity, Rotation, affine_range_inclusion
+from gvikit.schema import parse_problem
 from gvikit.vi import SolverParams
 
 
@@ -74,8 +75,10 @@ class TestFindCoincidence:
         assert not rep.certified
         np.testing.assert_allclose(rep.solution, [1.0], atol=1e-6)
         assert rep.coincidence_residual == pytest.approx(1.0, abs=1e-6)
-        by_name = {r.property: r for r in precheck(problem)}
-        assert by_name["range_inclusion"].verdict == "violated"
+        rep = affine_range_inclusion(problem.f, problem.g, problem.K, 1e-6)
+        assert rep.verdict == "violated"
+        (v,) = rep.witness
+        assert problem.K.distance(problem.f(v)) == pytest.approx(1.0)
 
     def test_report_fields_cover_the_pipeline(self):
         rep = find_coincidence(_linear_pair())
@@ -86,37 +89,60 @@ class TestFindCoincidence:
         assert rep.converged
 
 
+def _pair_file(f, g, check_samples=None):
+    """A coincidence file for the pair on [0, 1]."""
+    data = {
+        "version": "1",
+        "kind": "coincidence",
+        "operators": {"f": f, "g": g},
+        "set": {"type": "box", "lower": [0.0], "upper": [1.0]},
+        "seed": 5,
+    }
+    if check_samples is not None:
+        data["tolerances"] = {"check_samples": check_samples}
+    return parse_problem(data)
+
+
+_LINEAR_F = {"op": "affine", "matrix": [[1.0]], "shift": [0.5]}
+_DOUBLE = {"op": "affine", "matrix": [[2.0]], "shift": [0.0]}
+_ID1 = {"op": "identity", "dim": 1}
+
+
 class TestPrecheck:
+    """The hypothesis battery that runs before a coincidence solve."""
+
     def test_reports_come_in_load_bearing_order(self):
-        reports = precheck(_linear_pair())
-        names = [r.property for r in reports]
+        report, code = cli.run_check(_pair_file(_LINEAR_F, _DOUBLE))
+        assert code == 0
+        names = [r["property"] for r in report["hypothesis_reports"]]
         assert names == [
-            "range_inclusion",
-            "g_pseudocontractive",
-            "g_nonexpansive",
+            "affine_relative_monotone",
+            "ql",
             "fiber_condition",
+            "range_inclusion",
+            "g_nonexpansive",
         ]
-        assert all(r.verdict in ("holds_on_samples", "proven") for r in reports)
+        assert all(r["verdict"] == "proven" for r in report["hypothesis_reports"])
 
     def test_expansion_past_g_is_flagged(self):
-        problem = CoincidenceProblem(
-            f=Affine(3.0 * np.eye(1), np.zeros(1)),
-            g=Identity(1),
-            K=Box(np.zeros(1), np.ones(1)),
-            image_gK=Box(np.zeros(1), np.ones(1)),
-        )
-        by_name = {r.property: r for r in precheck(problem)}
-        assert by_name["g_pseudocontractive"].verdict == "violated"
-        assert by_name["g_nonexpansive"].verdict == "violated"
-        x, y = by_name["g_pseudocontractive"].witness
+        report, code = cli.run_check(_pair_file({"op": "scale", "factor": 3.0, "inner": _ID1}, _ID1))
+        assert code == 1
+        by_name = {r["property"]: r for r in report["hypothesis_reports"]}
+        # g - f = -2x is not monotone relative to g = x, and f doubles distances past g
+        assert by_name["affine_relative_monotone"]["verdict"] == "violated"
+        assert by_name["g_nonexpansive"]["verdict"] == "violated"
+        assert by_name["range_inclusion"]["verdict"] == "violated"
+        x, y = (np.array(w) for w in by_name["affine_relative_monotone"]["witness"])
         # witness reproduces <f(x)-f(y), g(x)-g(y)> > |g(x)-g(y)|^2
         lhs = 3.0 * (x - y) @ (x - y)
         assert lhs > (x - y) @ (x - y)
 
     def test_sampling_is_configurable(self):
-        cfg = SampleConfig(seed=11, samples=32)
-        reports = precheck(_linear_pair(), cfg)
-        assert all(r.samples_used <= 32 for r in reports)
+        tanh = {"op": "scale", "factor": 0.5, "inner": {"op": "pointwise", "kind": "tanh", "dim": 1}}
+        report, _ = cli.run_check(_pair_file(tanh, _ID1, check_samples=32))
+        used = [r["samples_used"] for r in report["hypothesis_reports"]]
+        assert max(used) == 32
+        assert all(n <= 32 for n in used)
 
 
 class TestFindFixedPoint:
@@ -140,9 +166,7 @@ class TestFindFixedPoint:
         f = Affine(0.5 * np.eye(1), np.array([0.5]))
         K = Box(np.zeros(1), np.ones(1))
         via_fixed = find_fixed_point(f, K)
-        via_pair = find_coincidence(
-            CoincidenceProblem(f=f, g=Identity(1), K=K, image_gK=K)
-        )
+        via_pair = find_coincidence(CoincidenceProblem(f=f, g=Identity(1), K=K))
         np.testing.assert_allclose(via_fixed.solution, via_pair.solution, atol=1e-8)
 
     def test_self_map_violation_does_not_abort(self):
@@ -175,7 +199,6 @@ class TestContractionSuite:
                 break
         h = rng.uniform(-1.0, 1.0, size=2)
         K = Box(np.zeros(2), np.ones(2))
-        image = affine_image_polytope(K, G, h)
         center = np.array([0.5, 0.5])
         g_center = G @ center + h
 
@@ -186,12 +209,7 @@ class TestContractionSuite:
         R = _rot(rng.uniform(0.0, 2.0 * np.pi))
         f = Affine(s * R, g_center - s * (R @ center))
 
-        problem = CoincidenceProblem(
-            f=f,
-            g=Affine(G, h),
-            K=K,
-            image_gK=image,
-        )
+        problem = CoincidenceProblem(f=f, g=Affine(G, h), K=K)
         rep = find_coincidence(problem)
         assert rep.certified
         assert rep.coincidence_residual <= 1e-6

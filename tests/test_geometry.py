@@ -1,4 +1,4 @@
-"""Set variants: projections, membership, vertices, and affine images."""
+"""Set variants: projections, membership, vertices, spans, and affine images."""
 
 import itertools
 
@@ -21,9 +21,16 @@ from gvikit import (
     Simplex,
     UnboundedSet,
     UnsupportedVariant,
-    affine_image_polytope,
     segment_distance,
     set_from_dict,
+)
+from gvikit.operators import (
+    Affine,
+    Constant,
+    Identity,
+    SampleConfig,
+    affine_range_inclusion,
+    check_range_inclusion,
 )
 
 TRIANGLE = HPolytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
@@ -329,82 +336,119 @@ class TestSegmentDistance:
         assert segment_distance([3.0, 4.0], [0.0, 0.0], [0.0, 0.0]) == pytest.approx(5.0)
 
 
+class TestSpan:
+    """``span()``: orthonormal columns spanning the directions x - y of the set."""
+
+    @staticmethod
+    def _assert_spans(basis, directions):
+        np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+        # every direction lies in the span, and the span has no extra dimension
+        d = np.atleast_2d(directions)
+        np.testing.assert_allclose(d - (d @ basis) @ basis.T, 0.0, atol=1e-12)
+        assert basis.shape[1] == np.linalg.matrix_rank(d, tol=1e-9)
+
+    def test_box_drops_pinned_coordinates(self):
+        box = Box([0.0, 2.0, -1.0], [1.0, 2.0, 1.0])
+        np.testing.assert_array_equal(box.span(), np.eye(3)[:, [0, 2]])
+        assert Box([1.0], [1.0]).span().shape == (1, 0)
+
+    def test_ball_spans_everything(self):
+        np.testing.assert_array_equal(Ball([0.0, 1.0], 0.5).span(), np.eye(2))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_simplex_directions_sum_to_zero(self, dim):
+        basis = Simplex(dim).span()
+        assert basis.shape == (dim, dim - 1)
+        np.testing.assert_allclose(np.ones(dim) @ basis, 0.0, atol=1e-12)
+        v = Simplex(dim).vertices()
+        if dim > 1:
+            self._assert_spans(basis, v[1:] - v[0])
+
+    def test_hpolytope_spans_its_edges(self):
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 3):
+            K = random_hpolytope(rng, dim)
+            v = K.vertices()
+            self._assert_spans(K.span(), v[1:] - v[0])
+        # a segment in the plane spans one direction
+        segment = HPolytope([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [-1.0, 0.0]], [1.0, -1.0, 1.0, 0.0])
+        self._assert_spans(segment.span(), [[1.0, -1.0]])
+
+    def test_a_cone_does_not_know_its_span(self):
+        assert PolyhedralCone([[1.0, 0.0], [0.0, 1.0]]).span() is None
+
+
+def _in_image(K, g, p):
+    """Whether p lies in g(K): the range check of the constant map p against g.
+
+    For a g with a closed-form inverse this decides ``g^-1(p)`` in K; any
+    other g takes the sampled check, with its preimage search.
+    """
+    f = Constant(p, in_dim=K.dim)
+    cfg = SampleConfig(seed=3, samples=50, tol=1e-9)
+    rep = affine_range_inclusion(f, g, K, cfg.tol) or check_range_inclusion(f, g, K, cfg)
+    return rep.verdict != "violated"
+
+
 class TestAffineImage:
+    """Membership in the image g(K) of an affine g, decided without building g(K)."""
+
     def test_interval_scaling(self):
-        img = affine_image_polytope(Box([0.0], [1.0]), [[2.0]])
-        assert img.contains([0.0]) and img.contains([2.0]) and img.contains([1.3])
-        assert not img.contains([2.1], tol=1e-6)
-        assert {v[0] for v in img.vertices()} == {0.0, 2.0}
+        K, g = Box([0.0], [1.0]), Affine([[2.0]])
+        assert _in_image(K, g, [0.0]) and _in_image(K, g, [2.0]) and _in_image(K, g, [1.3])
+        assert not _in_image(K, g, [2.1])
 
     def test_box_translation(self):
-        img = affine_image_polytope(
-            Box([0.0, 0.0], [1.0, 1.0]), np.eye(2), [1.0, 1.0]
-        )
+        K, g = Box([0.0, 0.0], [1.0, 1.0]), Affine(np.eye(2), [1.0, 1.0])
         for p in ([1.0, 1.0], [2.0, 2.0], [1.5, 1.7]):
-            assert img.contains(p, tol=1e-9)
-        assert not img.contains([0.9, 1.0], tol=1e-6)
+            assert _in_image(K, g, p)
+        assert not _in_image(K, g, [0.9, 1.0])
 
     def test_simplex_image_is_mapped_hull(self):
         # vertices e1, e2 map to (1,0) and (0,2); the image is that segment
-        img = affine_image_polytope(Simplex(2), [[1.0, 0.0], [0.0, 2.0]])
+        g = Affine([[1.0, 0.0], [0.0, 2.0]])
         rng = np.random.default_rng(31)
-        pts = Simplex(2).sample(rng, 200)
-        mapped = pts @ np.array([[1.0, 0.0], [0.0, 2.0]]).T
-        for q in mapped:
-            assert img.contains(q, tol=1e-8)
-        assert img.contains([0.5, 1.0], tol=1e-9)
-        assert not img.contains([0.5, 0.5], tol=1e-6)
-        assert not img.contains([1.2, 0.0], tol=1e-6)
+        for q in g(Simplex(2).sample(rng, 20)):
+            assert _in_image(Simplex(2), g, q)
+        assert _in_image(Simplex(2), g, [0.5, 1.0])
+        assert not _in_image(Simplex(2), g, [0.5, 0.5])
+        assert not _in_image(Simplex(2), g, [1.2, 0.0])
 
     def test_parallelogram_image(self):
-        img = affine_image_polytope(
-            Box([0.0, 0.0], [1.0, 1.0]), [[1.0, 0.0], [1.0, 1.0]]
-        )
-        vs = {tuple(np.round(v, 9)) for v in img.vertices()}
-        assert vs == {(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 2.0)}
+        K, g = Box([0.0, 0.0], [1.0, 1.0]), Affine([[1.0, 0.0], [1.0, 1.0]])
+        for p in ([0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.5, 1.0]):
+            assert _in_image(K, g, p)
+        for p in ([1.0, 0.0], [0.0, 2.0]):
+            assert not _in_image(K, g, p)
 
     def test_rank_deficient_to_point(self):
-        img = affine_image_polytope(Box([0.0], [1.0]), [[0.0]], [3.0])
-        assert img.contains([3.0], tol=1e-9)
-        assert not img.contains([3.1], tol=1e-6)
+        K, g = Box([0.0], [1.0]), Affine([[0.0]], [3.0])
+        assert _in_image(K, g, [3.0])
+        assert not _in_image(K, g, [3.1])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            affine_image_polytope(Box([0.0], [1.0]), [[1.0, 0.0]])
+            _in_image(Box([0.0], [1.0]), Identity(1), [0.0, 0.0])
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_closed_form_matches_the_hull(self, dim, monkeypatch):
-        # a nonsingular map sends {N v <= b} onto {N M^-1 (u - c) <= b}
-        # without enumerating a single hull facet
+    def test_closed_form_matches_the_hull(self, dim):
+        # p lies in {N v <= b} mapped by v -> M v + c exactly when M^-1 (p - c)
+        # does, which the range check decides with no hull facet
         hull = geometry_module._hull_halfspaces
-
-        def refuse(points):
-            raise AssertionError("hull enumeration for a nonsingular map")
-
-        monkeypatch.setattr(geometry_module, "_hull_halfspaces", refuse)
         rng = np.random.default_rng(600 + dim)
         for case in range(8):
             K = random_box(rng, dim) if case % 2 == 0 else _cut_box(rng, dim)
             m = _nonsingular(rng, dim)
             c = rng.normal(size=dim)
-            image = affine_image_polytope(K, m, c)
-            reference = HPolytope(*hull(K.vertices() @ m.T + c))
-            _assert_same_points(image.vertices(), reference.vertices(), 1e-9)
-
-    def test_singular_map_keeps_the_hull(self, monkeypatch):
-        calls = []
-        hull = geometry_module._hull_halfspaces
-
-        def counted(points):
-            calls.append(points)
-            return hull(points)
-
-        monkeypatch.setattr(geometry_module, "_hull_halfspaces", counted)
-        square = Box([0.0, 0.0], [1.0, 1.0])
-        affine_image_polytope(square, [[1.0, 1.0], [2.0, 2.0]])
-        affine_image_polytope(Simplex(2), np.eye(2))
-        affine_image_polytope(square, np.eye(2))
-        assert len(calls) == 2
+            mapped = K.vertices() @ m.T + c
+            reference = HPolytope(*hull(mapped))
+            lo, hi = reference.bounding_box()
+            inside = rng.dirichlet(np.ones(len(mapped)), 8) @ mapped
+            for p in np.vstack([inside, rng.uniform(lo - 0.5, hi + 0.5, size=(8, dim))]):
+                d = reference.distance(p)
+                if 0.0 < d < 1e-6:
+                    continue  # too close to the boundary for either test to settle
+                assert _in_image(K, Affine(m, c), p) == (d == 0.0)
 
 
 def _cut_box(rng, dim):

@@ -13,7 +13,7 @@ from conftest import random_box, random_hpolytope, random_simplex
 
 from gvikit import gvi as gvi_module
 from gvikit.errors import DimensionMismatch, InversionFailed, UnsupportedVariant
-from gvikit.geometry import Ball, Box, HPolytope, PolyhedralCone, Simplex, affine_image_polytope
+from gvikit.geometry import Ball, Box, HPolytope, PolyhedralCone, Simplex
 from gvikit.gvi import (
     GviProblem,
     ImageConsistencyWarning,
@@ -236,6 +236,16 @@ def _image_miss_by_loop(a, K, image, seed):
     return worst, witness
 
 
+def _box_image(K, a):
+    """The image of the Box K under the nonsingular Affine a, as an HPolytope.
+
+    K is ``{v : N v <= b}`` with N its facet normals, so ``a(K)`` is
+    ``{u : N M^-1 (u - c) <= b}``.
+    """
+    normals = np.vstack([np.eye(K.dim), -np.eye(K.dim)]) @ np.linalg.inv(a.matrix)
+    return HPolytope(normals, np.concatenate([K.upper, -K.lower]) + normals @ a.shift)
+
+
 class TestImageMiss:
     SHEAR = Affine(np.array([[1.0, 0.5], [-0.25, 1.0]]), np.array([0.1, -0.2]))
     K = Box(-np.ones(2), np.ones(2))
@@ -243,7 +253,7 @@ class TestImageMiss:
     @staticmethod
     def _shrunk(margin):
         a = TestImageMiss.SHEAR
-        exact = affine_image_polytope(TestImageMiss.K, a.matrix, a.shift)
+        exact = _box_image(TestImageMiss.K, a)
         widths = np.linalg.norm(exact.normals, axis=1)
         return HPolytope(exact.normals, exact.offsets - margin * widths)
 
@@ -600,7 +610,7 @@ class TestClosedFormReduction:
         if isinstance(a, Identity):
             image = self.K
         else:
-            image = affine_image_polytope(self.K, a.matrix, a.shift)
+            image = _box_image(self.K, a)
         rep = solve_gvi(GviProblem(A=_skew_operator(), a=a, K=self.K, image_aK=image))
         assert rep.converged
         assert rep.reduction == "x_space"

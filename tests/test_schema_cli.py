@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gvikit import cli, coincidence, gvi, operators
+from gvikit import cli, gvi, operators
 from gvikit.cli import main
 from gvikit.demos import DEMOS, demo_names, get_demo
 from gvikit.errors import SchemaError
+from gvikit.geometry import Simplex
 from gvikit.schema import parse_problem, validate
 
 
@@ -123,14 +124,17 @@ class TestSchemaParsing:
 
     def test_affine_map_derives_its_image(self):
         # relative-monotone omits image_set; as the g of a coincidence file
-        # its image g(K) is derived, since range_inclusion reads it
+        # its image g(K) comes from g itself: range_inclusion decides f(x) in
+        # g(K) as g^-1(f(x)) in K, in closed form, so no image set is parsed
         raw = get_demo("relative-monotone")["problem"]
         assert "image_set" not in raw
         ops = raw["operators"]
         problem = parse_problem(dict(raw, kind="coincidence", operators={"f": ops["A"], "g": ops["a"]}))
-        assert problem.image_set is not None
-        assert problem.image_set.dim == 2
-        # the gvi file solves in x-space and reads no image, so none is derived
+        assert problem.image_set is None
+        report, _ = cli.run_check(problem)
+        (entry,) = [r for r in report["hypothesis_reports"] if r["property"] == "range_inclusion"]
+        assert entry["verdict"] in ("proven", "violated") and entry["samples_used"] == 0
+        # the gvi file solves in x-space and reads no image either
         problem = parse_problem(raw)
         assert problem.image_set is None
         report, code = cli.run_problem(problem)
@@ -550,15 +554,15 @@ class TestOnePath:
         assert report["residuals"]["pullback"] == 0.0
 
     def test_precheck_runs_once_per_run(self, monkeypatch):
+        # the hypothesis battery runs once, before the solve
         calls = []
-        real = coincidence.precheck
+        real = cli._battery
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(coincidence, "precheck", counted)
-        monkeypatch.setattr(cli, "precheck", counted)
+        monkeypatch.setattr(cli, "_battery", counted)
         report, code = cli.run_problem(parse_problem(_escaping_fixed_point()))
         assert report["exit_status"] == "refuted_hypothesis"
         assert len(calls) == 1
@@ -640,9 +644,9 @@ class TestAffineExpressions:
         }
         report, code = cli.run_check(parse_problem(data))
         assert code == 0
-        (entry,) = report["hypothesis_reports"]
-        assert entry["property"] == "affine_relative_monotone"
-        assert entry["verdict"] == "proven"
+        entries = report["hypothesis_reports"]
+        assert [e["property"] for e in entries] == ["affine_relative_monotone", "ql", "fiber_condition"]
+        assert all(e["verdict"] == "proven" for e in entries)
 
     def test_scaled_identity_derives_its_image_and_needs_no_jacobian(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -663,7 +667,10 @@ class TestAffineExpressions:
             "seed": 6,
         }
         problem = parse_problem(data)
-        assert problem.image_set.contains([2.0, 0.0]) and not problem.image_set.contains([2.1, 0.0])
+        # g(K) = [0, 2]^2 comes from g's closed-form inverse: no image set, no sample
+        assert problem.image_set is None
+        by_name = {r["property"]: r for r in cli.run_check(problem)[0]["hypothesis_reports"]}
+        assert by_name["range_inclusion"]["verdict"] == "proven"
         # the gvi file with A(x) = x - (0.5, 0.25) and a = g derives no image
         gvi_data = dict(data, kind="gvi", operators={
             "A": {"op": "affine", "matrix": [[1.0, 0.0], [0.0, 1.0]], "shift": [-0.5, -0.25]},
@@ -694,14 +701,19 @@ class TestAffineExpressions:
             "seed": 4,
         }
         problem = parse_problem(data)
-        g = problem.operators["g"]
-        for v in problem.feasible_set.vertices():
-            assert problem.image_set.contains(g(v))
-        # a Ball enumerates no vertices, so a coincidence file declares g(K)
+        assert problem.image_set is None
+        # g(K) is read off g itself: each vertex image g(v) lies in it
+        g, K = problem.operators["g"], problem.feasible_set
+        cfg = operators.SampleConfig(seed=4, samples=50)
+        for v in K.vertices():
+            f = operators.Constant(g(v), in_dim=2)
+            rep = operators.affine_range_inclusion(f, g, K, cfg.tol)
+            rep = rep or operators.check_range_inclusion(f, g, K, cfg)
+            assert rep.verdict != "violated"
+        # a Ball enumerates no vertices, and its coincidence file needs no image either
         ball = {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}
-        with pytest.raises(SchemaError, match="cannot derive the image set") as exc:
-            parse_problem(dict(data, set=ball))
-        assert exc.value.pointer == "/image_set"
+        report, _ = cli.run_check(parse_problem(dict(data, set=ball)))
+        assert "range_inclusion" in [r["property"] for r in report["hypothesis_reports"]]
         # a gvi file reads no image, on the box or on the Ball
         for K in (_BOX2, ball):
             problem = parse_problem(dict(data, kind="gvi", operators={"A": _ID2, "a": inner}, set=K))
@@ -721,6 +733,102 @@ class TestAffineExpressions:
         report, code = cli.run_problem(parse_problem(data), certify=True)
         assert code == 0 and report["exit_status"] == "certified"
         np.testing.assert_allclose(report["solution"], [0.5, 0.5], atol=1e-6)
+
+
+_PAIR_DEMOS = [n for n in demo_names() if DEMOS[n]["problem"]["kind"] in ("coincidence", "fixed_point")]
+
+
+def _escaping_simplex_fixed_point():
+    """f = 0.5 Q x + (I - 0.5 Q) p on the 3-simplex fixes only p, and p sums to 1.3."""
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    p = rng.dirichlet(np.ones(3)) * 1.3
+    lin = 0.5 * q
+    f = {"op": "affine", "matrix": lin.tolist(), "shift": ((np.eye(3) - lin) @ p).tolist()}
+    return {
+        "version": "1",
+        "kind": "fixed_point",
+        "operators": {"f": f},
+        "set": {"type": "simplex", "dim": 3},
+        "seed": 8,
+    }
+
+
+class TestOneBattery:
+    """Every kind runs the checks of its normalized (A, a, K), in closed form for affine data."""
+
+    @pytest.mark.parametrize(
+        "K",
+        [
+            {"type": "box", "lower": [-1.0] * 12, "upper": [1.0] * 12},
+            {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        ],
+        ids=["box-12", "ball-2"],
+    )
+    def test_an_affine_coincidence_needs_no_image(self, capsys, tmp_path, K):
+        # f = x + 0.3 meets g = 2I at 0.3: g(K) has no enumerable image here,
+        # and no check or solve reads one
+        n = len(K.get("lower", K.get("center")))
+        data = {
+            "version": "1",
+            "kind": "coincidence",
+            "operators": {
+                "f": {"op": "affine", "matrix": np.eye(n).tolist(), "shift": [0.3] * n},
+                "g": {"op": "affine", "matrix": (2.0 * np.eye(n)).tolist(), "shift": [0.0] * n},
+            },
+            "set": K,
+            "seed": 1,
+        }
+        code, report, _ = _run(capsys, ["certify", _write(tmp_path, data), "--quiet"])
+        assert code == 0
+        assert report["exit_status"] == "certified"
+        np.testing.assert_allclose(report["solution"], [0.3] * n, atol=1e-6)
+        verdicts = {r["property"]: r["verdict"] for r in report["hypothesis_reports"]}
+        assert "range_inclusion" in verdicts and "selection_independence" in verdicts
+        assert set(verdicts.values()) == {"proven"}
+
+    @pytest.mark.parametrize("name", _PAIR_DEMOS)
+    def test_pair_demos_draw_no_sample(self, monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("operators._draw called")
+
+        monkeypatch.setattr(operators, "_draw", refuse)
+        problem = parse_problem(get_demo(name)["problem"])
+        gvi_problem, pair, _ = cli._normalize(problem)
+        battery = cli._battery(problem, gvi_problem, pair)
+        assert [e["verdict"] for e in battery] == ["proven"] * 5
+
+    def test_escaping_fixed_point_is_refuted_at_a_vertex(self):
+        data = _escaping_simplex_fixed_point()
+        report, code = cli.run_problem(parse_problem(data))
+        assert code == 1
+        assert report["exit_status"] == "refuted_hypothesis"
+        (entry,) = [r for r in report["hypothesis_reports"] if r["property"] == "range_inclusion"]
+        assert entry["verdict"] == "violated" and entry["samples_used"] == 0
+        (v,) = (np.array(w) for w in entry["witness"])
+        assert any(np.array_equal(v, e) for e in np.eye(3))
+        f = operators.operator_from_dict(data["operators"]["f"])
+        assert Simplex(3).distance(f(v)) == pytest.approx(entry["max_violation"])
+        assert entry["max_violation"] > 1e-6
+
+    def test_simplex_vi_is_decided_on_its_directions(self, capsys, tmp_path):
+        # M = [[1, -2], [-2, 1]] is indefinite on R^2, but K - K of the simplex
+        # only spans d = (1, -1), where d^T M d = 6 > 0
+        data = {
+            "version": "1",
+            "kind": "vi",
+            "seed": 1,
+            "operators": {"A": {"op": "affine", "matrix": [[1, -2], [-2, 1]], "shift": [0, 0.5]}},
+            "set": {"type": "simplex", "dim": 2},
+        }
+        path = _write(tmp_path, data)
+        code, report, _ = _run(capsys, ["check", path, "--quiet"])
+        assert code == 0 and report["exit_status"] == "checks_passed"
+        entry = report["hypothesis_reports"][0]
+        assert (entry["property"], entry["verdict"]) == ("affine_relative_monotone", "proven")
+        assert entry["max_violation"] == pytest.approx(-3.0)
+        code, report, _ = _run(capsys, ["certify", path, "--quiet"])
+        assert code == 0 and report["exit_status"] == "certified"
 
 
 def test_cone_beyond_the_hull_budget_is_a_schema_error():
