@@ -72,8 +72,12 @@ def find_coincidence(problem, x0=None):
     points to a violated hypothesis, most often range inclusion.
     """
     gvi_problem = GviProblem(
-        Difference(problem.g, problem.f), problem.g, problem.K, problem.image_gK,
-        problem.params, problem.inversion,
+        A=Difference(problem.g, problem.f),
+        a=problem.g,
+        K=problem.K,
+        image_aK=problem.image_gK,
+        params=problem.params,
+        inversion=problem.inversion,
     )
     rep = solve_gvi(gvi_problem, x0=x0)
     cert = certify(
@@ -98,7 +102,9 @@ def find_fixed_point(f, K, params=None, inversion=None, tol=COINCIDENCE_TOL, x0=
     """
     g = Identity(K.dim)
     problem = CoincidenceProblem(
-        f=f, g=g, K=K,
+        f=f,
+        g=g,
+        K=K,
         params=params if params is not None else SolverParams(),
         inversion=inversion if inversion is not None else InversionParams(),
         coincidence_tol=tol,

@@ -631,8 +631,6 @@ def _hull_halfspaces(points):
         offsets.append(float(nrm @ center))
         rows.append(-nrm)
         offsets.append(-float(nrm @ center))
-    if rank == 0:
-        return np.array(rows), np.array(offsets)
     basis = vt[:rank].T
     coords = q @ basis
     scale = 1.0 + float(np.max(np.abs(coords)))

@@ -602,7 +602,8 @@ def affine_range_inclusion(f, g, K, tol):
     if isinstance(K, Ball):
         spread = K.radius * (float(np.linalg.norm(T.matrix, 2)) - 1.0)
         excess = float(np.linalg.norm(T(K.center) - K.center)) + spread
-        return PropertyReport("range_inclusion", "proven", None, 0, excess) if excess <= tol else None
+        proven = PropertyReport("range_inclusion", "proven", None, 0, excess)
+        return proven if excess <= tol else None
     try:
         v = K.vertices()
     except (UnsupportedVariant, DimensionTooLarge):
@@ -619,7 +620,7 @@ def check_range_inclusion(f, g, K, cfg, inversion=None):
     it can overestimate the range, a capped prefix of the samples also
     inverts ``g`` at ``f(x)`` to confirm the point is reachable.
     """
-    from .gvi import InversionParams, select_preimage
+    from .gvi import select_preimage
 
     (x,) = _draw(K, cfg.seed, cfg.samples, points=1)
     fx = np.asarray(f(x), dtype=float)
@@ -627,12 +628,11 @@ def check_range_inclusion(f, g, K, cfg, inversion=None):
     if inverse is not None:
         viol = _exact_distances(K, np.asarray(inverse(fx), dtype=float))
         return _verdict("range_inclusion", viol, (x,), cfg.tol)
-    inv = inversion if inversion is not None else InversionParams()
     lo, hi = g.enclosure(*K.bounding_box())
     viol = np.linalg.norm(fx - np.clip(fx, lo, hi), axis=1)
     for i in range(min(cfg.samples, _INVERT_CHECK_CAP)):
         try:
-            select_preimage(g, K, fx[i], inv)
+            select_preimage(g, K, fx[i], inversion)
         except InversionFailed as err:
             viol[i] = max(viol[i], float(err.best_residual or math.inf))
     return _verdict("range_inclusion", viol, (x,), cfg.tol)
@@ -660,13 +660,12 @@ def check_fiber_condition(A, a, K, cfg, inversion=None, match_tol=FIBER_MATCH_TO
     must satisfy ``|A(x) - A(y)| <= cfg.tol``.  This is the condition that
     makes the reduced operator independent of the preimage selection.
     """
-    from .gvi import InversionParams, preimage_candidates
+    from .gvi import preimage_candidates
 
-    inv = inversion if inversion is not None else InversionParams()
     n_probe = min(cfg.samples, _FIBER_PROBE_CAP)
     (x,) = _draw(K, cfg.seed, n_probe, points=1)
     ax = np.asarray(a(x), dtype=float)
-    fibers = [preimage_candidates(a, K, u, inv) for u in ax]
+    fibers = [preimage_candidates(a, K, u, inversion) for u in ax]
     owner = np.repeat(np.arange(n_probe), [len(ys) for ys in fibers])
     y = np.array([p for ys in fibers for p in ys]).reshape(-1, K.dim)
     match = np.linalg.norm(np.asarray(a(y), dtype=float) - ax[owner], axis=1) <= match_tol
