@@ -91,16 +91,12 @@ def _check_cfg(problem):
 
 def _monotone_report(T, t, K, cfg):
     """Analytic verdict for square affine pairs on the directions of K,
-    sampled verdict otherwise.  Where K does not know its directions, the
-    test on all of R^n can prove the property but not refute it."""
+    sampled verdict otherwise."""
     forms = T.affine_form(), t.affine_form()
     if None not in forms:
         m, g = forms[0][0], forms[1][0]
         if m.shape[0] == m.shape[1] and m.shape == g.shape:
-            basis = K.span()
-            report = affine_relative_monotone(m, g, basis=basis)
-            if basis is not None or report.verdict == "proven":
-                return report
+            return affine_relative_monotone(m, g, basis=K.span())
     return check_monotone_relative(T, t, K, cfg)
 
 
@@ -138,16 +134,20 @@ def _battery(problem, gvi_problem, pair):
     """The checks of the normalized ``(A, a, K)``, plus range inclusion and
     g-nonexpansiveness for a pair, as report entries marked load-bearing or
     not.  Each is decided in closed form where the affine forms allow it
-    (an affine map sends segments to segments) and sampled otherwise.
+    (an affine map sends segments to segments) and sampled otherwise.  An
+    isometric ``a``, such as the identity of a VI or a fixed point, is
+    affine with one-point fibers: ``ql``, the fiber condition and selection
+    independence hold by construction and are not reported.
     """
     cfg = _check_cfg(problem)
     A, a, K, inv = gvi_problem.A, gvi_problem.a, gvi_problem.K, problem.inversion
-    reports = [
-        _monotone_report(A, a, K, cfg),
-        proven_report("ql") if a.affine_form() is not None else check_ql(a, K, cfg),
-        proven_report("fiber_condition") if fiber_factors(A, a)
-        else check_fiber_condition(A, a, K, cfg, inv),
-    ]
+    reports = [_monotone_report(A, a, K, cfg)]
+    if not a.is_isometry():
+        reports += [
+            proven_report("ql") if a.affine_form() is not None else check_ql(a, K, cfg),
+            proven_report("fiber_condition") if fiber_factors(A, a)
+            else check_fiber_condition(A, a, K, cfg, inv),
+        ]
     if pair is not None:
         f, g = pair
         reports += [
@@ -239,7 +239,8 @@ def run_problem(problem, certify=False, resolution=None, tol=None):
     t_solve = time.perf_counter()
     try:
         rep = solve_gvi(gvi_problem)
-        battery.append(_entry(check_selection_independence(gvi_problem, rep.solution)))
+        if not gvi_problem.a.is_isometry():
+            battery.append(_entry(check_selection_independence(gvi_problem, rep.solution)))
         cert = certify_solve(
             gvi_problem,
             rep,

@@ -177,8 +177,8 @@ class ConvexSet:
         raise UnsupportedVariant(f"{type(self).__name__} has no bounding box")
 
     def span(self):
-        """Orthonormal columns spanning the directions ``x - y`` of the set, or None if unknown."""
-        return None
+        """Orthonormal columns spanning the directions ``x - y`` of the set."""
+        raise UnsupportedVariant(f"{type(self).__name__} does not report its directions")
 
     def linear_min(self, g):
         """A point of the set minimizing ``<g, x>``.

@@ -562,7 +562,7 @@ def check_g_nonexpansive(f, g, K, cfg):
     return _verdict("g_nonexpansive", df - dg, (x, y), cfg.tol)
 
 
-def affine_nonexpansive(f, g, K, psd_tol=PSD_TOL):
+def affine_nonexpansive(f, g, K):
     """``|f(x) - f(y)| <= |g(x) - g(y)|`` on K proven from the affine forms, or None.
 
     It holds when ``M_f^T M_f - M_g^T M_g``, whose largest eigenvalue is the
@@ -574,7 +574,7 @@ def affine_nonexpansive(f, g, K, psd_tol=PSD_TOL):
     (mf, _), (mg, _) = forms
     w, _ = _on_directions(mf.T @ mf - mg.T @ mg, K.span())
     lmax = float(w[-1]) if w.size else 0.0
-    return PropertyReport("g_nonexpansive", "proven", None, 0, lmax) if lmax <= psd_tol else None
+    return PropertyReport("g_nonexpansive", "proven", None, 0, lmax) if lmax <= PSD_TOL else None
 
 
 def affine_range_inclusion(f, g, K, tol):
@@ -582,32 +582,30 @@ def affine_range_inclusion(f, g, K, tol):
 
     ``f(x)`` lies in ``g(K)`` exactly when ``T(x) = g^-1(f(x))`` lies in K,
     which the vertices of the convex K decide for an affine T.  On a Box,
-    ``T.enclosure`` gives each coordinate's exact range, and the violation
-    is its largest excess, at the vertex where T reaches it; other sets
-    score the distance of each vertex image from K.  On a Ball(c, r),
-    ``|T(c) - c| + r |M_T|_2 <= r`` proves the property.
+    the 2n vertices where some coordinate of T peaks or bottoms decide it;
+    other sets score every vertex.  The violation is the distance of a
+    vertex's image from K.  On a Ball(c, r), ``|T(c) - c| + r |M_T|_2 <= r``
+    proves the property.
     """
     inverse = g.inverse()
     form = None if inverse is None else Compose(inverse, f).affine_form()
     if form is None:
         return None
     T = Affine(*form)
-    if isinstance(K, Box):
-        lo, hi = T.enclosure(K.lower, K.upper)
-        # row i of the first half is the vertex where T_i peaks, of the second where it bottoms
-        up = T.matrix >= 0.0
-        corners = np.vstack([np.where(up, K.upper, K.lower), np.where(up, K.lower, K.upper)])
-        viol = np.concatenate([hi - K.upper, K.lower - lo])
-        return _verdict("range_inclusion", viol, (corners,), tol, 0, "proven")
     if isinstance(K, Ball):
         spread = K.radius * (float(np.linalg.norm(T.matrix, 2)) - 1.0)
         excess = float(np.linalg.norm(T(K.center) - K.center)) + spread
         proven = PropertyReport("range_inclusion", "proven", None, 0, excess)
         return proven if excess <= tol else None
-    try:
-        v = K.vertices()
-    except (UnsupportedVariant, DimensionTooLarge):
-        return None
+    if isinstance(K, Box):
+        # row i of the first half is the vertex where T_i peaks, of the second where it bottoms
+        up = T.matrix >= 0.0
+        v = np.vstack([np.where(up, K.upper, K.lower), np.where(up, K.lower, K.upper)])
+    else:
+        try:
+            v = K.vertices()
+        except (UnsupportedVariant, DimensionTooLarge):
+            return None
     return _verdict("range_inclusion", _exact_distances(K, T(v)), (v,), tol, 0, "proven")
 
 
@@ -638,18 +636,18 @@ def check_range_inclusion(f, g, K, cfg, inversion=None):
     return _verdict("range_inclusion", viol, (x,), cfg.tol)
 
 
-def fiber_factors(A, a, tol=PSD_TOL):
+def fiber_factors(A, a):
     """Whether the affine forms prove that ``a(x) = a(y)`` forces ``A(x) = A(y)``.
 
     For an affine a, ``a(x) = a(y)`` puts ``x - y`` in the null space N of
-    ``M_a``, on which an affine A with ``|M_A N| <= tol`` is constant.  Equal
+    ``M_a``, on which an affine A with ``|M_A N| <= PSD_TOL`` is constant.  Equal
     values of A and a give equal gaps, so this proves selection independence.
     """
     form = a.affine_form()
     if form is None:
         return False
     null, form_A = _null_space(form[0]), A.affine_form()
-    return null.shape[1] == 0 or (form_A is not None and np.linalg.norm(form_A[0] @ null, 2) <= tol)
+    return null.shape[1] == 0 or (form_A is not None and np.linalg.norm(form_A[0] @ null, 2) <= PSD_TOL)
 
 
 def check_fiber_condition(A, a, K, cfg, inversion=None, match_tol=FIBER_MATCH_TOL):

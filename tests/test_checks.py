@@ -32,7 +32,6 @@ from gvikit import (
     fiber_factors,
     segment_distance,
 )
-from gvikit import cli
 from gvikit import gvi as gvi_module
 from gvikit import operators as operators_module
 from gvikit.errors import DimensionMismatch, InversionFailed
@@ -239,13 +238,6 @@ class TestFiberCondition:
         assert rep.verdict == "holds_on_samples"
 
 
-class _SpanUnknown(Simplex):
-    """A simplex that does not report its directions."""
-
-    def span(self):
-        return None
-
-
 class TestClosedForms:
     """Verdicts decided from the affine forms and the set, with no sample."""
 
@@ -265,19 +257,11 @@ class TestClosedForms:
         np.testing.assert_allclose(np.abs(d), [1.0, 0.0])
         np.testing.assert_array_equal(origin, np.zeros(2))
 
-    def test_unknown_span_falls_back_to_sampling(self):
-        A = Affine([[1.0, -2.0], [-2.0, 1.0]], [0.0, 0.5])
-        rep = cli._monotone_report(A, Identity(2), _SpanUnknown(2), CFG)
-        assert (rep.property, rep.verdict) == ("monotone_relative", "holds_on_samples")
-        rep = cli._monotone_report(Affine(np.eye(2)), Identity(2), _SpanUnknown(2), CFG)
-        assert (rep.property, rep.verdict) == ("affine_relative_monotone", "proven")
-
     def test_nonexpansive_on_the_directions_of_k(self):
         # f collapses every direction of the simplex, but doubles (1, 1)
         f, g = Affine([[1.0, 1.0], [1.0, 1.0]]), Identity(2)
         assert affine_nonexpansive(f, g, Simplex(2)).verdict == "proven"
         assert affine_nonexpansive(f, g, UNIT_BOX) is None
-        assert affine_nonexpansive(f, g, _SpanUnknown(2)) is None
         rep = affine_nonexpansive(Rotation(0.7), Affine(2 * np.eye(2)), UNIT_BOX)
         assert (rep.verdict, rep.samples_used) == ("proven", 0)
         assert rep.max_violation == pytest.approx(-3.0)
@@ -290,8 +274,7 @@ class TestClosedForms:
         assert (rep.verdict, rep.samples_used) == ("violated", 0)
         (v,) = rep.witness
         assert np.all((v == K.lower) | (v == K.upper))
-        excess = np.maximum(f(v) - K.upper, K.lower - f(v))
-        assert np.max(excess) == pytest.approx(rep.max_violation)
+        assert K.distance(f(v)) == pytest.approx(rep.max_violation)
         # the enclosure is the exact range: no sample leaves by more
         sampled = check_range_inclusion(f, Identity(3), K, SampleConfig(seed=5, samples=2000))
         assert sampled.verdict == "violated"

@@ -374,8 +374,9 @@ class TestSpan:
         segment = HPolytope([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [-1.0, 0.0]], [1.0, -1.0, 1.0, 0.0])
         self._assert_spans(segment.span(), [[1.0, -1.0]])
 
-    def test_a_cone_does_not_know_its_span(self):
-        assert PolyhedralCone([[1.0, 0.0], [0.0, 1.0]]).span() is None
+    def test_a_cone_does_not_report_its_span(self):
+        with pytest.raises(UnsupportedVariant):
+            PolyhedralCone([[1.0, 0.0], [0.0, 1.0]]).span()
 
 
 def _in_image(K, g, p):

@@ -644,9 +644,9 @@ class TestAffineExpressions:
         }
         report, code = cli.run_check(parse_problem(data))
         assert code == 0
-        entries = report["hypothesis_reports"]
-        assert [e["property"] for e in entries] == ["affine_relative_monotone", "ql", "fiber_condition"]
-        assert all(e["verdict"] == "proven" for e in entries)
+        (entry,) = report["hypothesis_reports"]
+        assert entry["property"] == "affine_relative_monotone"
+        assert entry["verdict"] == "proven"
 
     def test_scaled_identity_derives_its_image_and_needs_no_jacobian(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -796,7 +796,7 @@ class TestOneBattery:
         problem = parse_problem(get_demo(name)["problem"])
         gvi_problem, pair, _ = cli._normalize(problem)
         battery = cli._battery(problem, gvi_problem, pair)
-        assert [e["verdict"] for e in battery] == ["proven"] * 5
+        assert {e["verdict"] for e in battery} == {"proven"}
 
     def test_escaping_fixed_point_is_refuted_at_a_vertex(self):
         data = _escaping_simplex_fixed_point()
