@@ -322,10 +322,12 @@ def _load_file(path):
         raise SchemaError("", f"not valid JSON: {err}") from err
 
 
-def _emit(report, code, args, summary):
+def _emit(report, code, args, summary=None):
+    """Print the report, and the summary line (by default ``_summary_line``)
+    unless ``--quiet`` drops it, in which case it is never built."""
     print(json.dumps(report, indent=2))
     if not getattr(args, "quiet", False):
-        print(summary, file=sys.stderr)
+        print(_summary_line(report) if summary is None else summary, file=sys.stderr)
     return code
 
 
@@ -423,7 +425,7 @@ def _dispatch(args):
         )
         report["demo"] = args.name
         report["demo_expected"] = entry.get("expect")
-        return _emit(report, code, args, _summary_line(report))
+        return _emit(report, code, args)
 
     data = _load_file(args.file)
 
@@ -463,7 +465,7 @@ def _dispatch(args):
         resolution=args.resolution,
         tol=args.tol,
     )
-    return _emit(report, code, args, _summary_line(report))
+    return _emit(report, code, args)
 
 
 def main(argv=None):

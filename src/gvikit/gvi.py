@@ -289,6 +289,8 @@ def _image_miss(a, K, image, seed, samples=_IMAGE_CHECK_SAMPLES, vertices=False)
 
     Samples K with a fixed seed and, with ``vertices``, also maps K's
     vertices when it enumerates them; ``(0.0, None)`` when there is no point.
+    A NaN row never decides; raises ``UnsupportedVariant`` when ``a``
+    overflows to infinity on a point, since no distance is then finite.
     """
     rows = []
     try:
@@ -303,7 +305,11 @@ def _image_miss(a, K, image, seed, samples=_IMAGE_CHECK_SAMPLES, vertices=False)
     if not rows:
         return 0.0, None
     pts = np.concatenate(rows)
-    dist = _exact_distances(image, np.asarray(a(pts), dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mapped = np.asarray(a(pts), dtype=float)
+    if np.isinf(mapped).any():
+        raise UnsupportedVariant("the inner map overflows on K")
+    dist = _exact_distances(image, mapped)
     i = int(np.argmax(np.nan_to_num(dist)))  # a NaN distance never decides
     return (float(dist[i]), pts[i]) if dist[i] > 0.0 else (0.0, None)
 

@@ -6,10 +6,12 @@ monotonicity to converge; the extragradient method adds a predictor
 evaluation and converges for merely monotone Lipschitz operators, which is
 what the reduced problems produced elsewhere in this package look like.
 
-For an affine F on a Box, projected iterations find the solution's face
-in finitely many steps (Calamai & More, Math. Program. 39, 1987), and on
-that face the solution is one linear solve, which the loop tries once per
-face that two successive iterates share.
+For an affine F on a Box or a Simplex, projected iterations find the
+solution's face in finitely many steps (Calamai & More, Math. Program. 39,
+1987), and on that face the solution is one linear solve: the free block
+of F on a Box, and its KKT system with the multiplier of ``sum(x) = 1`` on
+a Simplex.  The loop tries it once per face that two successive iterates
+share.
 
 Failure to converge is an ordinary outcome here, reported through the
 ``converged`` flag and ``stop_reason`` rather than an exception.
@@ -23,7 +25,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import NonConvergence, UnsupportedVariant
-from .geometry import Box, as_vector
+from .geometry import Box, Simplex, as_vector
 from .operators import OperatorExpr
 
 RESIDUAL_TOL = 1e-8
@@ -73,7 +75,7 @@ class SolveReport:
     iterations: int
     converged: bool
     step_used: float
-    stop_reason: str  # "residual", "max_iter" or "face_solve"
+    stop_reason: str  # "residual", "max_iter" or "face_solve" (affine F on a Box or Simplex)
     gap_certificate: Optional[float] = None
     history: Optional[List[float]] = None
     iterates: Optional[List[np.ndarray]] = None
@@ -140,19 +142,33 @@ def _backtrack(F, C, x, fx, y, fy, step, params):
     return y, fy, residual, step
 
 
+def _face(C, x):
+    """The face of C that x lies on: the coordinates the projection put
+    exactly on a bound of a Box (1 lower, 2 upper) or at 0 on a Simplex."""
+    if isinstance(C, Box):
+        return ((x == C.lower) + 2 * (x == C.upper)).tobytes()
+    return (x == 0.0).tobytes()
+
+
 def _face_point(form, C, x):
     """The solution of an affine ``F = M x + q`` on the face of C that x lies on.
 
     Coordinates on a bound stay there; the free ones solve
-    ``M_FF z_F = -(q_F + M_FW z_W)`` by least squares, so a singular block
-    gives a point that the caller's residual test rejects.
+    ``M_FF z_F = -(q_F + M_FW z_W)``, on a Simplex bordered by its equality
+    ``[M_FF 1; 1^T 0] [z_F; lam] = [-q_F; 1]``.  Least squares makes a
+    singular block give a point that the caller's residual test rejects.
     """
     m, q = form
-    free = (x > C.lower) & (x < C.upper)
+    free = (x > C.lower) & (x < C.upper) if isinstance(C, Box) else x > 0.0
     z = x.copy()
     if free.any():
+        k = int(free.sum())
+        lhs = m[np.ix_(free, free)]
         rhs = -(q[free] + m[np.ix_(free, ~free)] @ x[~free])
-        z[free] = np.linalg.lstsq(m[np.ix_(free, free)], rhs, rcond=None)[0]
+        if isinstance(C, Simplex):
+            lhs = np.block([[lhs, np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
+            rhs = np.append(rhs, 1.0)
+        z[free] = np.linalg.lstsq(lhs, rhs, rcond=None)[0][:k]
     return C.project(z)
 
 
@@ -163,15 +179,17 @@ def _iterate(F, C, params, x0, record_history, record_iterates, extragradient):
     on ``|x - y|`` or at the iteration cap.  The projection method moves
     to ``y``, backtracking before the stop test; extragradient backtracks
     after it and moves to the corrected point ``P_C(x - step * F(y))``.
-    For an affine F on a Box, an iterate on the same face as the previous
-    one (the coordinates ``np.clip`` put exactly on a bound) takes that
-    face's ``_face_point``, once per face, and stops there with
-    ``stop_reason = "face_solve"`` when it passes the residual test.
+    For an affine F on a Box or a Simplex, an iterate on the same face as
+    the previous one (``_face``: the coordinates the projection put exactly
+    on a bound) takes that face's ``_face_point``, once per face, and stops
+    there with ``stop_reason = "face_solve"`` when it passes the residual
+    test.
     """
     params = params if params is not None else SolverParams()
     x = C.project(np.zeros(C.dim) if x0 is None else as_vector(x0, C.dim, "x0"))
     step, backtrack = _resolve_step(F, C, params)
-    form = F.affine_form() if isinstance(F, OperatorExpr) and isinstance(C, Box) else None
+    faceted = isinstance(F, OperatorExpr) and isinstance(C, (Box, Simplex))
+    form = F.affine_form() if faceted else None
     tried, last_face = set(), None
     history = [] if record_history else None
     iterates = [x.copy()] if record_iterates else None
@@ -198,7 +216,7 @@ def _iterate(F, C, params, x0, record_history, record_iterates, extragradient):
                 iterates=iterates,
             )
         if form is not None:
-            face = ((x == C.lower) + 2 * (x == C.upper)).tobytes()  # 1 lower, 2 upper
+            face = _face(C, x)
             if face == last_face and face not in tried:
                 tried.add(face)
                 z = _face_point(form, C, x)

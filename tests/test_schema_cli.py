@@ -180,6 +180,16 @@ class TestCli:
         assert report["demo"] == "box-projection"
         assert "gvikit:" in err
 
+    def test_quiet_never_builds_the_summary_line(self, capsys, monkeypatch):
+        built = []
+        real = cli._summary_line
+        monkeypatch.setattr(cli, "_summary_line", lambda report: built.append(1) or real(report))
+        code, _, err = _run(capsys, ["demo", "box-projection", "--quiet"])
+        assert (code, err, built) == (0, "", [])
+        code, _, err = _run(capsys, ["demo", "box-projection"])
+        assert (code, built) == (0, [1])
+        assert err.startswith("gvikit: vi -> certified")
+
     def test_the_report_says_why_the_solver_stopped(self, capsys):
         code, report, err = _run(capsys, ["demo", "identity-reduction"])
         assert (code, report["exit_status"]) == (0, "certified")
@@ -366,6 +376,28 @@ class TestCli:
         assert report["exit_status"] != "certified"
         assert report["error"] == {
             "type": "UnsupportedVariant", "message": "the interval enclosure of a on K overflows"
+        }
+        assert "Traceback" not in err
+
+    def test_an_inner_map_that_overflows_on_k_fails_without_a_traceback(self, capsys, tmp_path):
+        # g = cube overflows on [-1e120, 1e120], so the check of the declared
+        # image meets infinite points, where no distance is finite
+        data = {
+            "version": "1",
+            "kind": "coincidence",
+            "operators": {
+                "f": {"op": "affine", "matrix": [[0.5]], "shift": [0.0]},
+                "g": {"op": "pointwise", "kind": "cube", "dim": 1},
+            },
+            "set": {"type": "box", "lower": [-1e120], "upper": [1e120]},
+            "image_set": {"type": "box", "lower": [-1e300], "upper": [1e300]},
+            "seed": 1,
+        }
+        code, report, err = _run(capsys, ["certify", _write(tmp_path, data)])
+        assert code == 1
+        assert report["exit_status"] == "failed"
+        assert report["error"] == {
+            "type": "UnsupportedVariant", "message": "the inner map overflows on K"
         }
         assert "Traceback" not in err
 
@@ -810,6 +842,10 @@ class TestOneBattery:
         f = operators.operator_from_dict(data["operators"]["f"])
         assert Simplex(3).distance(f(v)) == pytest.approx(entry["max_violation"])
         assert entry["max_violation"] > 1e-6
+        # x - f(x) is affine, so the solve stops on its face; extragradient
+        # alone took 177 iterations to a coincidence residual of 0.1615562708354134
+        assert report["stop_reason"] == "face_solve" and report["iterations"] <= 6
+        assert report["residuals"]["coincidence"] == pytest.approx(0.1615562708354134, abs=1e-9)
 
     def test_simplex_vi_is_decided_on_its_directions(self, capsys, tmp_path):
         # M = [[1, -2], [-2, 1]] is indefinite on R^2, but K - K of the simplex

@@ -40,6 +40,7 @@ from gvikit.cli import main
 from gvikit.demos import DEMOS
 from gvikit.gvi import ImageConsistencyWarning, _linear_minimizer
 from gvikit.schema import parse_problem, validate
+from gvikit.vi import solve_extragradient
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -297,3 +298,30 @@ def test_a_cone_K_is_rejected():
     for a in (Identity(2), PointwiseNonlinear("cube", 2)):
         with pytest.raises(UnsupportedVariant, match="K must be compact"):
             GviProblem(A=Identity(2), a=a, K=cone, image_aK=Box(np.zeros(2), np.ones(2)))
+
+
+@given(dim=st.integers(2, 6), support=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_a_face_solved_simplex_vi_is_exact(dim, support, seed):
+    # a strongly monotone affine F = M x + q on Simplex(dim) with a planted
+    # solution x*: interior when support >= dim, else on the face of its
+    # support, where q makes the KKT conditions hold with strictly positive
+    # multipliers off the support
+    rng = np.random.default_rng(seed)
+    k = min(support, dim)
+    on = rng.permutation(dim)[:k]
+    x_star = np.zeros(dim)
+    x_star[on] = 0.5 * rng.dirichlet(np.ones(k)) + 0.5 / k
+    g = rng.normal(size=(dim, dim))
+    m = np.eye(dim) + 0.3 * g @ g.T / dim + 0.5 * (g - g.T)
+    mu = rng.uniform(0.1, 1.0, size=dim)
+    mu[on] = 0.0
+    q = rng.normal() + mu - m @ x_star
+    rep = solve_extragradient(Affine(m, q), Simplex(dim))
+    x = rep.solution
+    # the projection lands on a vertex exactly, where no face solve is needed
+    assert rep.stop_reason == "face_solve" or (k == 1 and np.array_equal(x, x_star))
+    fx = m @ x + q
+    # min over y in the simplex of <F(x), y - x> is taken at a vertex
+    assert fx.min() - fx @ x >= -1e-9
+    np.testing.assert_allclose(x, x_star, rtol=0, atol=1e-9)
