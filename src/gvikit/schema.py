@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import SchemaError, ToolkitError
+from .errors import SchemaError, ToolkitError, UnsupportedVariant
 from .geometry import (
     Ball,
     Box,
@@ -335,7 +335,8 @@ def validate(data):
     Returns a list of ``{"severity", "pointer", "message"}`` entries:
     schema violations as errors, plus image-consistency warnings for a
     file that declares its image set, over a sample of the set and, for
-    an inner map that is not affine, its vertices.
+    an inner map that is not affine, its vertices, or a warning that the
+    inner map overflows there.
     """
     diagnostics = []
     try:
@@ -350,10 +351,14 @@ def validate(data):
     if "image_set" in problem.raw:
         base = problem.domain if problem.kind == "complementarity" else problem.feasible_set
         inner = problem.operators[inner_name]
-        worst, witness = _image_miss(
-            inner, base, problem.image_set, problem.seed,
-            vertices=inner.affine_form() is None,
-        )
+        try:
+            worst, witness = _image_miss(
+                inner, base, problem.image_set, problem.seed,
+                vertices=inner.affine_form() is None,
+            )
+        except UnsupportedVariant as err:
+            diagnostics.append({"severity": "warning", "pointer": "/image_set", "message": str(err)})
+            return diagnostics
         if worst > IMAGE_TOL:
             message = (
                 f"declared image misses {inner_name}(x) by {worst:.3e} at x={witness.tolist()}"

@@ -393,12 +393,20 @@ class TestCli:
             "image_set": {"type": "box", "lower": [-1e300], "upper": [1e300]},
             "seed": 1,
         }
-        code, report, err = _run(capsys, ["certify", _write(tmp_path, data)])
+        path = _write(tmp_path, data)
+        code, report, err = _run(capsys, ["certify", path])
         assert code == 1
         assert report["exit_status"] == "failed"
         assert report["error"] == {
             "type": "UnsupportedVariant", "message": "the inner map overflows on K"
         }
+        assert "Traceback" not in err
+        # validate lists it as a warning on the image, as it does a missed image
+        code, report, err = _run(capsys, ["validate", path])
+        assert (code, report["exit_status"]) == (0, "valid")
+        assert report["diagnostics"] == [
+            {"severity": "warning", "pointer": "/image_set", "message": "the inner map overflows on K"}
+        ]
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -213,22 +213,27 @@ class TestFaceSolve:
         np.testing.assert_allclose(rep.solution, [0.3, 0.9], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "matrix, shift, lower, upper, want",
+        "K, matrix, shift, want",
         [
-            ([[1.0, 1.0], [1.0, 1.0]], [1.0, -1.0], -1.0, 1.0, [-1.0, 1.0]),
-            ([[0.0, 0.0], [0.0, 0.0]], [1.0, 0.5], -10.0, 10.0, [-10.0, -10.0]),
+            (Box(-np.ones(2), np.ones(2)), [[1.0, 1.0], [1.0, 1.0]], [1.0, -1.0], [-1.0, 1.0]),
+            (Box(np.full(2, -10.0), np.full(2, 10.0)), np.zeros((2, 2)), [1.0, 0.5],
+             [-10.0, -10.0]),
+            # on the simplex F is q plus a multiple of (1, 1, 1), so the vertex
+            # (0, 0, 1), where q is least, solves it; the bordered block of
+            # every face with two or more free coordinates is singular
+            (Simplex(3), np.ones((3, 3)), [1.0, 0.5, 0.2], [0.0, 0.0, 1.0]),
+            (Simplex(3), np.zeros((3, 3)), [1.0, 0.5, 0.2], [0.0, 0.0, 1.0]),
         ],
-        ids=["rank-one", "zero"],
+        ids=["rank-one", "zero", "simplex-rank-one", "simplex-zero"],
     )
     def test_a_singular_free_block_falls_back_to_iterating(
-        self, monkeypatch, matrix, shift, lower, upper, want
+        self, monkeypatch, K, matrix, shift, want
     ):
         points = _spy_faces(monkeypatch)
-        box = Box(np.full(2, lower), np.full(2, upper))
         f = Affine(np.array(matrix), np.array(shift))
-        rep = solve_extragradient(f, box)
+        rep = solve_extragradient(f, K)
         assert points, "the face step never ran"
-        assert all(natural_residual(f, box, z, rep.step_used) > 1e-8 for z in points)
+        assert all(natural_residual(f, K, z, rep.step_used) > 1e-8 for z in points)
         assert rep.stop_reason == "residual"
         np.testing.assert_allclose(rep.solution, want, atol=1e-7)
 
@@ -238,6 +243,16 @@ class TestFaceSolve:
         solve_extragradient(Affine(np.zeros((2, 2)), np.array([1.0, 0.5])), box)
         # the interior face and the face x0 = -10, each tried once
         assert len(points) == 2
+
+    def test_a_simplex_face_is_solved_at_most_once(self, monkeypatch):
+        points = _spy_faces(monkeypatch)
+        rep = solve_extragradient(
+            Affine(np.zeros((3, 3)), np.array([1.0, 0.5, 0.2])), Simplex(3), record_iterates=True
+        )
+        # three successive iterates hold x0 = 0, and that face is tried once
+        faces = [tuple(x == 0.0) for x in rep.iterates]
+        assert faces[1:4] == [(True, False, False)] * 3
+        assert len(points) == 1
 
     def test_an_interior_simplex_solution_is_solved_exactly(self):
         # without the face solve, extragradient took 44 iterations here
@@ -273,33 +288,6 @@ class TestFaceSolve:
         want = np.linalg.solve(kkt, np.append(-q, 1.0))[:3]
         np.testing.assert_allclose(rep.solution, want, rtol=0, atol=1e-12)
         assert np.all(rep.solution > 0.05)
-
-    @pytest.mark.parametrize(
-        "matrix, shift",
-        [(np.ones((3, 3)), [1.0, 0.5, 0.2]), (np.zeros((3, 3)), [1.0, 0.5, 0.2])],
-        ids=["rank-one", "zero"],
-    )
-    def test_a_singular_simplex_block_falls_back_to_iterating(self, monkeypatch, matrix, shift):
-        # on the simplex F is q plus a multiple of (1, 1, 1), so the vertex
-        # (0, 0, 1), where q is least, solves it; the bordered block of every
-        # face with two or more free coordinates is singular
-        points = _spy_faces(monkeypatch)
-        f, simplex = Affine(matrix, np.array(shift)), Simplex(3)
-        rep = solve_extragradient(f, simplex)
-        assert points, "the face step never ran"
-        assert all(natural_residual(f, simplex, z, rep.step_used) > 1e-8 for z in points)
-        assert rep.stop_reason == "residual"
-        np.testing.assert_allclose(rep.solution, [0.0, 0.0, 1.0], atol=1e-12)
-
-    def test_a_simplex_face_is_solved_at_most_once(self, monkeypatch):
-        points = _spy_faces(monkeypatch)
-        rep = solve_extragradient(
-            Affine(np.zeros((3, 3)), np.array([1.0, 0.5, 0.2])), Simplex(3), record_iterates=True
-        )
-        # three successive iterates hold x0 = 0, and that face is tried once
-        faces = [tuple(x == 0.0) for x in rep.iterates]
-        assert faces[1:4] == [(True, False, False)] * 3
-        assert len(points) == 1
 
     def test_the_iteration_cap_comes_first(self):
         box = Box(np.zeros(2), np.ones(2))
