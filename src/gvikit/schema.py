@@ -357,7 +357,9 @@ def validate(data):
                 vertices=inner.affine_form() is None,
             )
         except UnsupportedVariant as err:
-            diagnostics.append({"severity": "warning", "pointer": "/image_set", "message": str(err)})
+            diagnostics.append(
+                {"severity": "warning", "pointer": "/image_set", "message": str(err)}
+            )
             return diagnostics
         if worst > IMAGE_TOL:
             message = (
