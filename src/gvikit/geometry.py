@@ -78,7 +78,15 @@ def _readonly(a):
 
 
 def _dedup_rows(rows, tol):
-    """Keep the first representative of every tol-cluster, in input order."""
+    """Keep the first representative of every tol-cluster, in input order.
+
+    All pairs are compared at once; the loop runs only if two rows lie within
+    2 tol, a margin that rounding in the batched distances cannot cross.
+    """
+    a = np.asarray(rows, dtype=float)
+    sq = sum((a[:, None, k] - a[None, :, k]) ** 2 for k in range(a.shape[-1]))
+    if len(a) < 2 or np.count_nonzero(sq <= (2 * tol) ** 2) == len(a):  # the diagonal alone
+        return list(rows)
     kept = []
     for r in rows:
         if all(np.linalg.norm(r - k) > tol for k in kept):
@@ -370,19 +378,25 @@ class Simplex(ConvexSet):
         return {"type": "simplex", "dim": self.dim}
 
 
+def _subsets(m, k, size=1 << 14):
+    """Every k-subset of ``range(m)`` in lexicographic order, as index rows in
+    blocks of at most ``size``: one stacked LAPACK call each, in bounded memory."""
+    it = itertools.combinations(range(m), k)
+    while block := list(itertools.islice(it, size)):
+        yield np.array(block, dtype=np.intp).reshape(len(block), k)
+
+
 def _enumerate_polytope_vertices(normals, offsets, dim):
-    """All basic feasible intersection points of ``dim`` active rows."""
-    m = normals.shape[0]
+    """All basic feasible intersection points of ``dim`` active rows: per block
+    of row subsets, one stacked SVD, one stacked solve and one product."""
     verts = []
-    for idx in itertools.combinations(range(m), dim):
-        sub = normals[list(idx)]
+    for idx in _subsets(normals.shape[0], dim):
+        sub = normals[idx]
         s = np.linalg.svd(sub, compute_uv=False)
-        if s[-1] <= 1e-10 * max(s[0], 1.0):
-            continue
-        x = np.linalg.solve(sub, offsets[list(idx)])
-        if np.max(normals @ x - offsets) <= 1e-9:
-            verts.append(x)
-    verts.sort(key=lambda v: tuple(v))
+        regular = s[:, -1] > 1e-10 * np.maximum(s[:, 0], 1.0)
+        x = np.linalg.solve(sub[regular], offsets[idx[regular]][..., None])[..., 0]
+        verts.extend(x[np.max(x @ normals.T - offsets, axis=1) <= 1e-9])
+    verts.sort(key=tuple)
     return _dedup_rows(verts, VERTEX_DEDUP_TOL)
 
 
@@ -391,19 +405,17 @@ def _has_recession_ray(normals, dim):
 
     The lineality space catches contained lines; every extreme ray of a
     pointed recession cone is the null direction of some rank ``dim - 1``
-    row subset, so enumerating those subsets is a complete test.
+    row subset, so testing those subsets (the empty one in 1-D, whose null
+    directions are +-e_1) is complete.  One stacked SVD per block.
     """
     if _null_space(normals).shape[1] > 0:
         return True
-    m = normals.shape[0]
-    for idx in itertools.combinations(range(m), dim - 1):
-        ns = _null_space(normals[list(idx)])
-        if ns.shape[1] != 1:
-            continue
-        d = ns[:, 0]
-        for cand in (d, -d):
-            if np.max(normals @ cand) <= 1e-9:
-                return True
+    for idx in _subsets(normals.shape[0], dim - 1):
+        _, s, vt = np.linalg.svd(normals[idx])
+        rank = np.sum(s > 1e-10 * np.maximum(s[:, :1], 1.0), axis=1)
+        d = vt[rank == dim - 1, -1]
+        if np.any(np.max(np.concatenate([d, -d]) @ normals.T, axis=1) <= 1e-9):
+            return True
     return False
 
 
@@ -413,7 +425,9 @@ class HPolytope(ConvexSet):
 
     The constructor enumerates vertices to certify that the intersection
     is nonempty and bounded; dimensions above VERTEX_ENUM_MAX_DIM are
-    rejected because that certificate would be unaffordable.
+    rejected because that certificate would be unaffordable.  Its cost is
+    the C(m, d) and C(m, d - 1) row subsets of m rows in d dimensions,
+    tested by a few stacked LAPACK calls rather than one call per subset.
     """
 
     normals: np.ndarray
@@ -614,7 +628,8 @@ def _hull_halfspaces(points):
     """Facet description of the convex hull of ``points``.
 
     Works in the affine hull: orthogonal directions are pinned with
-    equality pairs, and facets are enumerated inside the hull coordinates.
+    equality pairs, and facets are enumerated inside the hull coordinates,
+    one stacked SVD per block of point subsets.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = pts.shape
@@ -648,26 +663,21 @@ def _hull_halfspaces(points):
                 f"hull facet enumeration over C({n},{rank}) subsets is too large"
             )
         facets = []
-        for idx in itertools.combinations(range(n), rank):
-            sub = coords[list(idx)]
-            ns = _null_space(sub[1:] - sub[0])
-            if ns.shape[1] != 1:
-                continue
-            nrm = ns[:, 0]
-            c = float(nrm @ sub[0])
-            vals = coords @ nrm - c
-            if np.max(vals) <= side_tol:
-                facets.append((nrm, c))
-            elif np.min(vals) >= -side_tol:
-                facets.append((-nrm, -c))
-        seen = []
-        for nrm, c in facets:
-            key = np.concatenate([nrm, [c]])
-            if any(np.linalg.norm(key - k) <= 1e-9 for k in seen):
-                continue
-            seen.append(key)
-            rows.append(basis @ nrm)
-            offsets.append(c + float((basis @ nrm) @ center))
+        for idx in _subsets(n, rank):
+            sub = coords[idx]
+            _, s, vt = np.linalg.svd(sub[:, 1:] - sub[:, :1])
+            line = np.sum(s > 1e-10 * np.maximum(s[:, :1], 1.0), axis=1) == rank - 1
+            nrm = vt[line, -1]
+            # one dot product per subset, as np.dot takes it, for bit-equal offsets
+            c = np.matmul(nrm[:, None, :], sub[line, 0, :, None])[:, 0, 0]
+            vals = coords @ nrm.T - c
+            below = vals.max(axis=0) <= side_tol
+            above = ~below & (vals.min(axis=0) >= -side_tol)
+            sign = np.where(below, 1.0, -1.0)[:, None]
+            facets.extend((sign * np.column_stack([nrm, c]))[below | above])
+        for key in _dedup_rows(facets, 1e-9):
+            rows.append(basis @ key[:-1])
+            offsets.append(key[-1] + float((basis @ key[:-1]) @ center))
     return np.array(rows), np.array(offsets)
 
 

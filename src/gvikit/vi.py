@@ -11,7 +11,7 @@ solution's face in finitely many steps (Calamai & More, Math. Program. 39,
 1987), and on that face the solution is one linear solve: the free block
 of F on a Box, and its KKT system with the multiplier of ``sum(x) = 1`` on
 a Simplex.  The loop tries it once per face that two successive iterates
-share.
+share, and at once on any smaller face where a rejected face point lands.
 
 Failure to converge is an ordinary outcome here, reported through the
 ``converged`` flag and ``stop_reason`` rather than an exception.
@@ -146,8 +146,15 @@ def _face(C, x):
     """The face of C that x lies on: the coordinates the projection put
     exactly on a bound of a Box (1 lower, 2 upper) or at 0 on a Simplex."""
     if isinstance(C, Box):
-        return ((x == C.lower) + 2 * (x == C.upper)).tobytes()
-    return (x == 0.0).tobytes()
+        return (x == C.lower) + 2 * (x == C.upper)
+    return x == 0.0
+
+
+def _smaller_face(C, z, face):
+    """The face of z when it is a proper face of ``face``, else None: z holds
+    every bound of ``face`` and at least one more."""
+    new = _face(C, z)
+    return new if np.all((face == 0) | (new == face)) and np.any(new != face) else None
 
 
 def _face_point(form, C, x):
@@ -183,14 +190,15 @@ def _iterate(F, C, params, x0, record_history, record_iterates, extragradient):
     the previous one (``_face``: the coordinates the projection put exactly
     on a bound) takes that face's ``_face_point``, once per face, and stops
     there with ``stop_reason = "face_solve"`` when it passes the residual
-    test.
+    test.  A rejected face point that lies on a smaller face has found more
+    active bounds, so that face is solved at once, from the point.
     """
     params = params if params is not None else SolverParams()
     x = C.project(np.zeros(C.dim) if x0 is None else as_vector(x0, C.dim, "x0"))
     step, backtrack = _resolve_step(F, C, params)
     faceted = isinstance(F, OperatorExpr) and isinstance(C, (Box, Simplex))
     form = F.affine_form() if faceted else None
-    tried, last_face = set(), None
+    tried, last_key = set(), None
     history = [] if record_history else None
     iterates = [x.copy()] if record_iterates else None
     iterations = 0
@@ -216,10 +224,12 @@ def _iterate(F, C, params, x0, record_history, record_iterates, extragradient):
                 iterates=iterates,
             )
         if form is not None:
-            face = _face(C, x)
-            if face == last_face and face not in tried:
-                tried.add(face)
-                z = _face_point(form, C, x)
+            face, z = _face(C, x), x
+            key = face.tobytes()
+            trial = face if key == last_key else None
+            while trial is not None and trial.tobytes() not in tried:
+                tried.add(trial.tobytes())
+                z = _face_point(form, C, z)
                 z_residual = natural_residual(F, C, z, step)
                 if z_residual <= params.residual_tol:
                     if record_history:
@@ -228,7 +238,8 @@ def _iterate(F, C, params, x0, record_history, record_iterates, extragradient):
                         z, z_residual, iterations, True, step, "face_solve",
                         history=history, iterates=iterates,
                     )
-            last_face = face
+                trial = _smaller_face(C, z, trial)
+            last_key = key
         if extragradient:
             fy = np.asarray(F(y), dtype=float)
             if backtrack:

@@ -138,6 +138,15 @@ class TestHPolytopeConstruction:
         with pytest.raises(EmptySet):
             HPolytope([[1.0], [-1.0]], [-1.0, -1.0])
 
+    def test_a_half_line_is_unbounded(self):
+        # in 1-D the recession test has one row subset, the empty one, whose
+        # null directions are +-e_1; x <= 0.5 has the recession ray -e_1
+        with pytest.raises(UnboundedSet):
+            HPolytope([[1.0], [2.0]], [1.0, 1.0])
+        with pytest.raises(UnboundedSet):
+            HPolytope([[-1.0], [-3.0]], [1.0, 0.0])
+        assert np.array_equal(HPolytope([[1.0], [-2.0]], [1.0, 1.0]).vertices(), [[-0.5], [1.0]])
+
     def test_dimension_cap(self):
         eye = np.eye(7)
         with pytest.raises(DimensionTooLarge):
@@ -636,3 +645,228 @@ def test_cone_rows_match_the_generator_enumeration(name):
     if dim - np.linalg.matrix_rank(np.array(gens)) <= 1:
         _assert_same_points(got_pins.reshape(-1, dim), want_pins.reshape(-1, dim), 1e-9)
     np.testing.assert_allclose(_span_projector(got_pins, dim), _span_projector(want_pins, dim), atol=1e-9)
+
+
+# ------------------------------------------------ batched subset enumeration
+#
+# The per-subset loops that the stacked LAPACK calls replaced, kept verbatim
+# as the reference: the batched construction must give the same vertices,
+# verdicts and hull rows bit for bit.
+
+
+def _loop_dedup(rows, tol):
+    kept = []
+    for r in rows:
+        if all(np.linalg.norm(r - k) > tol for k in kept):
+            kept.append(r)
+    return kept
+
+
+def _loop_vertices(normals, offsets, dim):
+    verts = []
+    for idx in itertools.combinations(range(normals.shape[0]), dim):
+        sub = normals[list(idx)]
+        s = np.linalg.svd(sub, compute_uv=False)
+        if s[-1] <= 1e-10 * max(s[0], 1.0):
+            continue
+        x = np.linalg.solve(sub, offsets[list(idx)])
+        if np.max(normals @ x - offsets) <= 1e-9:
+            verts.append(x)
+    verts.sort(key=lambda v: tuple(v))
+    return _loop_dedup(verts, 1e-9)
+
+
+def _loop_recession_ray(normals, dim):
+    null_space = geometry_module._null_space
+    if null_space(normals).shape[1] > 0:
+        return True
+    for idx in itertools.combinations(range(normals.shape[0]), dim - 1):
+        ns = null_space(normals[list(idx)])
+        if ns.shape[1] != 1:
+            continue
+        d = ns[:, 0]
+        for cand in (d, -d):
+            if np.max(normals @ cand) <= 1e-9:
+                return True
+    return False
+
+
+def _loop_hull(points):
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n, d = pts.shape
+    center = pts.mean(axis=0)
+    q = pts - center
+    _, s, vt = np.linalg.svd(q, full_matrices=True)
+    rank = int(np.sum(s > 1e-10 * max(s[0], 1.0)))
+    rows, offsets = [], []
+    for j in range(rank, d):
+        rows += [vt[j], -vt[j]]
+        offsets += [float(vt[j] @ center), -float(vt[j] @ center)]
+    basis = vt[:rank].T
+    coords = q @ basis
+    side_tol = 1e-9 * (1.0 + float(np.max(np.abs(coords))))
+    if rank == 1:
+        t, b0 = coords[:, 0], basis[:, 0]
+        rows += [b0, -b0]
+        offsets += [float(t.max()) + float(b0 @ center), -float(t.min()) - float(b0 @ center)]
+        return np.array(rows), np.array(offsets)
+    facets = []
+    for idx in itertools.combinations(range(n), rank):
+        sub = coords[list(idx)]
+        ns = geometry_module._null_space(sub[1:] - sub[0])
+        if ns.shape[1] != 1:
+            continue
+        nrm = ns[:, 0]
+        c = float(nrm @ sub[0])
+        vals = coords @ nrm - c
+        if np.max(vals) <= side_tol:
+            facets.append((nrm, c))
+        elif np.min(vals) >= -side_tol:
+            facets.append((-nrm, -c))
+    seen = []
+    for nrm, c in facets:
+        key = np.concatenate([nrm, [c]])
+        if any(np.linalg.norm(key - k) <= 1e-9 for k in seen):
+            continue
+        seen.append(key)
+        rows.append(basis @ nrm)
+        offsets.append(c + float((basis @ nrm) @ center))
+    return np.array(rows), np.array(offsets)
+
+
+def _loop_hpolytope(normals, offsets):
+    """The constructor's verdict by the loops: an exception type or the vertices."""
+    a, b = np.asarray(normals, dtype=float), np.asarray(offsets, dtype=float)
+    norms = np.linalg.norm(a, axis=1)
+    un, ub = a / norms[:, None], b / norms
+    if _loop_recession_ray(un, a.shape[1]):
+        return UnboundedSet
+    verts = _loop_vertices(un, ub, a.shape[1])
+    return np.array(verts) if verts else EmptySet
+
+
+def _assert_construction_matches_the_loops(normals, offsets):
+    normals, offsets = np.asarray(normals, dtype=float), np.asarray(offsets, dtype=float)
+    dim = normals.shape[1]
+    un = normals / np.linalg.norm(normals, axis=1)[:, None]
+    ub = offsets / np.linalg.norm(normals, axis=1)
+    assert geometry_module._has_recession_ray(un, dim) == _loop_recession_ray(un, dim)
+    got = geometry_module._enumerate_polytope_vertices(un, ub, dim)
+    want = _loop_vertices(un, ub, dim)
+    assert np.array_equal(np.array(got), np.array(want))
+    expected = _loop_hpolytope(normals, offsets)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            HPolytope(normals, offsets)
+    else:
+        assert np.array_equal(HPolytope(normals, offsets)._vertices, expected)
+    return expected
+
+
+_SMALL = st.integers(-2, 2).map(float)
+_REAL = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def _halfspace_systems(draw):
+    """Halfspaces in 1-4 dimensions, often degenerate.
+
+    Small integer normals put more than d facets through one vertex and
+    make parallel facets; a box prefix keeps many of the sets bounded; a
+    scaled copy of a row is a duplicate facet after normalization.  The
+    rest are unbounded or empty.
+    """
+    dim = draw(st.integers(1, 4))
+    entry = draw(st.sampled_from([_SMALL, _REAL]))
+    rows, offsets = [], []
+    if draw(st.booleans()):
+        for i in range(dim):
+            rows += [np.eye(dim)[i], -np.eye(dim)[i]]
+            offsets += [1.0, 1.0]
+    for _ in range(draw(st.integers(1 if not rows else 0, 4 if dim < 4 else 3))):
+        row = np.array(draw(st.lists(entry, min_size=dim, max_size=dim)))
+        if np.linalg.norm(row) > 1e-3:
+            rows.append(row)
+            offsets.append(draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0])) * draw(st.sampled_from([1.0, 0.3])))
+    if not rows:
+        rows, offsets = [np.eye(dim)[0]], [1.0]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(rows) - 1))
+        rows.append(draw(st.sampled_from([1.0, 2.5])) * rows[j])
+        offsets.append(rows[-1][0] / rows[j][0] * offsets[j] if rows[j][0] else offsets[j])
+    return np.array(rows), np.array(offsets)
+
+
+class TestBatchedEnumeration:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_halfspace_systems())
+    def test_construction_matches_the_subset_loops(self, system):
+        _assert_construction_matches_the_loops(*system)
+
+    def test_the_property_covers_every_outcome(self):
+        # one fixed case of each outcome the strategy is meant to reach
+        cube = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+        # three facets through the vertex (1, 1) and a duplicate facet
+        degenerate = _assert_construction_matches_the_loops(
+            cube + [[1.0, 1.0], [2.0, 2.0]], [1.0, 1.0, 1.0, 1.0, 2.0, 4.0]
+        )
+        assert len(degenerate) == 4
+        assert _assert_construction_matches_the_loops(cube[:3], [1.0, 1.0, 1.0]) is UnboundedSet
+        assert _assert_construction_matches_the_loops(cube + [[1.0, 1.0]], [1.0] * 4 + [-3.0]) is EmptySet
+        # parallel facets: x <= 1 twice over and x <= 0.5
+        parallel = _assert_construction_matches_the_loops(
+            cube + [[1.0, 0.0]], [1.0, 1.0, 1.0, 1.0, 0.5]
+        )
+        assert np.array_equal(parallel, [[-1.0, -1.0], [-1.0, 1.0], [0.5, -1.0], [0.5, 1.0]])
+
+    @pytest.mark.parametrize(
+        "name", ["cut-5-cube", "6-simplex-with-duplicate", "6-orthant", "empty-5", "cut-6-box"]
+    )
+    def test_five_and_six_dimensions_match_the_subset_loops(self, name):
+        rng = np.random.default_rng(sum(map(ord, name)))
+        if name == "cut-5-cube":
+            # the cut sum(x) <= 1 puts six facets through each unit vector
+            eye = np.eye(5)
+            normals = np.vstack([eye, -eye, np.ones((1, 5))])
+            offsets = np.r_[np.ones(5), np.zeros(5), 1.0]
+        elif name == "6-simplex-with-duplicate":
+            normals = np.vstack([-np.eye(6), np.ones((2, 6))])
+            offsets = np.r_[np.zeros(6), 1.0, 1.0]
+        elif name == "6-orthant":
+            normals, offsets = -np.eye(6), np.zeros(6)
+        elif name == "empty-5":
+            normals = np.vstack([-np.eye(5), np.ones((1, 5))])
+            offsets = np.r_[np.zeros(5), -1.0]
+        else:
+            eye, cuts = np.eye(6), rng.normal(size=(2, 6))
+            normals = np.vstack([eye, -eye, cuts])
+            offsets = np.r_[np.ones(12), 0.3 * np.linalg.norm(cuts, axis=1)]
+        expected = _assert_construction_matches_the_loops(normals, offsets)
+        want = {"6-orthant": UnboundedSet, "empty-5": EmptySet}.get(name)
+        assert expected is want if want else len(expected) > normals.shape[1]
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda dim: st.tuples(
+                st.just(dim),
+                st.integers(1, 5),
+                st.sampled_from([_SMALL, _REAL]),
+                st.booleans(),
+            )
+        ),
+        st.data(),
+    )
+    def test_cone_hull_rows_match_the_subset_loops(self, shape, data):
+        dim, count, entry, repeat = shape
+        gens = np.array(data.draw(st.lists(
+            st.lists(entry, min_size=dim, max_size=dim).filter(lambda g: any(g)),
+            min_size=count, max_size=count,
+        ))).T
+        if repeat:
+            gens = np.hstack([gens, 2.0 * gens[:, :1]])
+        points = np.vstack([np.zeros(dim), gens.T])
+        got_rows, got_offsets = geometry_module._hull_halfspaces(points)
+        want_rows, want_offsets = _loop_hull(points)
+        assert np.array_equal(got_rows, want_rows)
+        assert np.array_equal(got_offsets, want_offsets)

@@ -355,6 +355,18 @@ class TestCli:
         assert code == 0 and report["exit_status"] == "certified"
         np.testing.assert_allclose(report["solution"], [1.0 / 3.0, 1.0 / 3.0], atol=1e-6)
 
+    def test_a_half_line_set_is_a_schema_error(self, capsys, tmp_path):
+        data = {"version": "1", "kind": "vi", "seed": 1,
+                "operators": {"A": {"op": "affine", "matrix": [[1.0]], "shift": [0.5]}},
+                "set": {"type": "hpolytope", "normals": [[1.0], [2.0]], "offsets": [1.0, 1.0]}}
+        code, report, err = _run(capsys, ["certify", _write(tmp_path, data)])
+        assert code == 2
+        assert report == {
+            "exit_status": "schema_error",
+            "error": {"pointer": "/set", "message": "halfspace intersection is unbounded"},
+        }
+        assert "Traceback" not in err
+
     def test_an_overflowing_enclosure_fails_without_a_traceback(self, capsys, tmp_path):
         # a(x) = 1e308 x^3 - 1e308 x^3 + x evaluates to x on [-1, 1], but
         # interval arithmetic pairs the extremes of the two cubes and overflows

@@ -244,6 +244,18 @@ class TestFaceSolve:
         # the interior face and the face x0 = -10, each tried once
         assert len(points) == 2
 
+    def test_a_rejected_point_on_a_smaller_face_is_solved_at_once(self, monkeypatch):
+        # the interior solve (1.5, 0.2) clips to (1, 0.2) on the face x0 = 1,
+        # whose own solve (1, 0.45) is the solution; it is taken in the same
+        # iteration, not once two iterates reach that face
+        points = _spy_faces(monkeypatch)
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        f, box = Affine(m, -m @ np.array([1.5, 0.2])), Box(np.zeros(2), np.ones(2))
+        rep = solve_extragradient(f, box, x0=np.array([0.5, 0.5]))
+        assert (rep.iterations, rep.stop_reason) == (1, "face_solve")
+        np.testing.assert_allclose(points, [[1.0, 0.2], [1.0, 0.45]], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rep.solution, [1.0, 0.45], rtol=0, atol=1e-12)
+
     def test_a_simplex_face_is_solved_at_most_once(self, monkeypatch):
         points = _spy_faces(monkeypatch)
         rep = solve_extragradient(
