@@ -47,6 +47,8 @@ _ACTIVE_SET_MAX_STEPS = 1000
 
 # Facet enumeration walks over point subsets; cap the combinatorial budget.
 _HULL_SUBSET_CAP = 200_000
+# Row and point subsets are tested in stacked blocks of at most this many.
+_SUBSET_BLOCK = 1 << 14
 
 
 def as_vector(x, dim=None, name="vector"):
@@ -78,11 +80,8 @@ def _readonly(a):
 
 
 def _dedup_rows(rows, tol):
-    """Keep the first representative of every tol-cluster, in input order.
-
-    All pairs are compared at once; the loop runs only if two rows lie within
-    2 tol, a margin that rounding in the batched distances cannot cross.
-    """
+    """Keep the first representative of every tol-cluster, in input order; the
+    loop runs only if two rows lie within 2 tol, a margin rounding cannot cross."""
     a = np.asarray(rows, dtype=float)
     sq = sum((a[:, None, k] - a[None, :, k]) ** 2 for k in range(a.shape[-1]))
     if len(a) < 2 or np.count_nonzero(sq <= (2 * tol) ** 2) == len(a):  # the diagonal alone
@@ -378,11 +377,11 @@ class Simplex(ConvexSet):
         return {"type": "simplex", "dim": self.dim}
 
 
-def _subsets(m, k, size=1 << 14):
+def _subsets(m, k):
     """Every k-subset of ``range(m)`` in lexicographic order, as index rows in
-    blocks of at most ``size``: one stacked LAPACK call each, in bounded memory."""
+    blocks of ``_SUBSET_BLOCK``: one stacked LAPACK call each, in bounded memory."""
     it = itertools.combinations(range(m), k)
-    while block := list(itertools.islice(it, size)):
+    while block := list(itertools.islice(it, _SUBSET_BLOCK)):
         yield np.array(block, dtype=np.intp).reshape(len(block), k)
 
 

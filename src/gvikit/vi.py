@@ -198,7 +198,7 @@ def _iterate(F, C, params, x0, record_history, record_iterates, extragradient):
     step, backtrack = _resolve_step(F, C, params)
     faceted = isinstance(F, OperatorExpr) and isinstance(C, (Box, Simplex))
     form = F.affine_form() if faceted else None
-    tried, last_key = set(), None
+    tried, last_face = set(), None
     history = [] if record_history else None
     iterates = [x.copy()] if record_iterates else None
     iterations = 0
@@ -225,8 +225,7 @@ def _iterate(F, C, params, x0, record_history, record_iterates, extragradient):
             )
         if form is not None:
             face, z = _face(C, x), x
-            key = face.tobytes()
-            trial = face if key == last_key else None
+            trial = face if np.array_equal(face, last_face) else None
             while trial is not None and trial.tobytes() not in tried:
                 tried.add(trial.tobytes())
                 z = _face_point(form, C, z)
@@ -239,7 +238,7 @@ def _iterate(F, C, params, x0, record_history, record_iterates, extragradient):
                         history=history, iterates=iterates,
                     )
                 trial = _smaller_face(C, z, trial)
-            last_key = key
+            last_face = face
         if extragradient:
             fy = np.asarray(F(y), dtype=float)
             if backtrack:

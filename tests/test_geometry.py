@@ -845,6 +845,20 @@ class TestBatchedEnumeration:
         want = {"6-orthant": UnboundedSet, "empty-5": EmptySet}.get(name)
         assert expected is want if want else len(expected) > normals.shape[1]
 
+    def test_blocks_of_subsets_join_in_order(self, monkeypatch):
+        # subsets come in blocks; blocks of 2 must give what one block gives
+        monkeypatch.setattr(geometry_module, "_SUBSET_BLOCK", 2)
+        eye = np.eye(3)
+        # four facets of the cut cube meet at (1, 0, 1) and at (0, 1, 1)
+        cube = np.vstack([eye, -eye, [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]]])
+        vertices = _assert_construction_matches_the_loops(cube, np.r_[np.ones(6), 2.0, 1.0])
+        assert len(vertices) > 3
+        assert _assert_construction_matches_the_loops(cube[:5], np.ones(5)) is UnboundedSet
+        gens = np.array([[1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 1.0, -1.0], [1.0, 1.0, 0.0, 0.5]])
+        points = np.vstack([np.zeros(3), gens.T])
+        got, want = geometry_module._hull_halfspaces(points), _loop_hull(points)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
         st.integers(1, 4).flatmap(
