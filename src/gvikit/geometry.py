@@ -80,17 +80,15 @@ def _readonly(a):
 
 
 def _dedup_rows(rows, tol):
-    """Keep the first representative of every tol-cluster, in input order; the
-    loop runs only if two rows lie within 2 tol, a margin rounding cannot cross."""
-    a = np.asarray(rows, dtype=float)
-    sq = sum((a[:, None, k] - a[None, :, k]) ** 2 for k in range(a.shape[-1]))
-    if len(a) < 2 or np.count_nonzero(sq <= (2 * tol) ** 2) == len(a):  # the diagonal alone
-        return list(rows)
-    kept = []
+    """Keep the first representative of every tol-cluster, in input order; each
+    row is compared with all kept rows in one call, in memory linear in the rows."""
+    kept = np.empty((len(rows), len(rows[0]) if len(rows) else 0))
+    n = 0
     for r in rows:
-        if all(np.linalg.norm(r - k) > tol for k in kept):
-            kept.append(r)
-    return kept
+        if np.all(np.linalg.norm(kept[:n] - r, axis=1) > tol):
+            kept[n] = r
+            n += 1
+    return list(kept[:n])
 
 
 def _null_space(a, rcond=1e-10):

@@ -1,6 +1,7 @@
 """Set variants: projections, membership, vertices, spans, and affine images."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -844,6 +845,36 @@ class TestBatchedEnumeration:
         expected = _assert_construction_matches_the_loops(normals, offsets)
         want = {"6-orthant": UnboundedSet, "empty-5": EmptySet}.get(name)
         assert expected is want if want else len(expected) > normals.shape[1]
+
+    @pytest.mark.parametrize("dim", [5, 6])
+    def test_a_vertex_on_nineteen_facets_is_kept_once(self, dim):
+        # a pyramid over a (dim - 1)-cube cut by random halfspaces through
+        # its centre: the apex lies on all 19 lateral facets, so C(19, dim)
+        # row subsets give a copy of it (27,132 at dim 6)
+        rng = np.random.default_rng(dim)
+        eye = np.eye(dim - 1)
+        base = np.vstack([eye, -eye, rng.normal(size=(19 - 2 * (dim - 1), dim - 1))])
+        normals = np.vstack([np.hstack([base, np.ones((19, 1))]), -np.eye(dim)[-1]])
+        offsets = np.r_[np.ones(19), 0.0]
+        if dim == 5:
+            _assert_construction_matches_the_loops(normals, offsets)
+        # the vertices are those of the base, at height 0, and the apex
+        floor = HPolytope(base, np.ones(19)).vertices()
+        want = np.vstack([np.hstack([floor, np.zeros((len(floor), 1))]), np.eye(dim)[-1]])
+        got = HPolytope(normals, offsets).vertices()
+        apart = np.linalg.norm(got[:, None] - want[None], axis=2)
+        assert len(got) == len(want)
+        assert np.all(apart.min(axis=0) < 1e-9) and np.all(apart.min(axis=1) < 1e-9)
+
+    def test_duplicate_rows_are_dropped_in_linear_memory(self):
+        rows = [np.full(6, 0.5)] * 4000 + [np.zeros(6)]
+        tracemalloc.start()
+        kept = geometry_module._dedup_rows(rows, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert np.array_equal(kept, [np.full(6, 0.5), np.zeros(6)])
+        # a 4000 x 4000 array of pairwise distances alone would take 128 MB
+        assert peak < 2_000_000
 
     def test_blocks_of_subsets_join_in_order(self, monkeypatch):
         # subsets come in blocks; blocks of 2 must give what one block gives
