@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .demos import DEMOS, get_demo
-from .errors import SchemaError, ToolkitError
+from .errors import InversionFailed, SchemaError, ToolkitError
 from .gvi import (
     COINCIDENCE_TOL,
     COMPLEMENTARITY_TOL,
@@ -178,17 +178,19 @@ def _tolerances(problem, pair, cone, tol, resolution):
     return tols
 
 
-def _oracle_section(gvi_problem, pair, solution, resolution, gap_kind):
+def _oracle_section(gvi_problem, pair, solution, resolution, gap_kind, certified):
     """Grid-oracle evidence for the solution.
 
-    A coincidence pair gets the grid point of least residual.  Any other
-    kind runs no grid: its gap is exact or a lower bound, so it is already
-    at most the minimum over any grid in K, and a grid cannot refute what
-    it accepts.
+    Only a coincidence pair that is not certified gets the grid point of
+    least residual.  A certified pair runs no grid: its residual is
+    evaluated at the solution, so no lattice point can refute it.  Any
+    other kind runs no grid either: its gap is exact or a lower bound, so
+    it is already at most the minimum over any grid in K.
     """
-    if pair is None:
+    if pair is None or certified:
         what = "exact" if gap_kind == "exact" else "a lower bound"
-        return {"skipped": f"the gap is {what}, so no grid can refute it"}
+        reason = "the coincidence residual is evaluated at the solution" if pair else f"the gap is {what}"
+        return {"skipped": f"{reason}, so no grid can refute it"}
     try:
         point, residual = brute_coincidence(*pair, gvi_problem.K, resolution)
     except ToolkitError as err:
@@ -219,7 +221,7 @@ def run_problem(problem, certify=False, resolution=None, tol=None):
         "tool": "gvikit",
         "tool_version": __version__,
         "kind": problem.kind,
-        "problem": problem.raw,
+        "problem": None,
         "solution": None,
         "reduced_solution": None,
         "reduction": None,
@@ -264,6 +266,8 @@ def run_problem(problem, certify=False, resolution=None, tol=None):
             report["complementarity"] = cert.complementarity.to_dict()
     except ToolkitError as err:
         error = {"type": type(err).__name__, "message": str(err)}
+        if isinstance(err, InversionFailed):
+            report["stop_reason"] = "inversion_failed"
     if refutation is not None:
         # the report names the failed certificate; no exception carries it
         error = {"type": "CertificationFailed", "message": refutation}
@@ -273,7 +277,7 @@ def run_problem(problem, certify=False, resolution=None, tol=None):
     if certify and report["solution"] is not None:
         report["oracle"] = _oracle_section(
             gvi_problem, pair, np.asarray(report["solution"], dtype=float),
-            tols["resolution"], report["gap_kind"],
+            tols["resolution"], report["gap_kind"], certified,
         )
 
     if certified:
@@ -291,7 +295,8 @@ def run_problem(problem, certify=False, resolution=None, tol=None):
         "solve_s": solve_seconds,
         "total_s": time.perf_counter() - t_start,
     }
-    return _jsonable(report), 0 if status == "certified" else 1
+    # problem.raw is parsed JSON already, so it takes its slot unwalked
+    return _jsonable(report) | {"problem": problem.raw}, 0 if status == "certified" else 1
 
 
 def run_check(problem):
@@ -304,12 +309,12 @@ def run_check(problem):
         "tool": "gvikit",
         "tool_version": __version__,
         "kind": problem.kind,
-        "problem": problem.raw,
+        "problem": None,
         "hypothesis_reports": battery,
         "timings": {"total_s": time.perf_counter() - t_start},
         "exit_status": "refuted_hypothesis" if refuted else "checks_passed",
     }
-    return _jsonable(report), 1 if refuted else 0
+    return _jsonable(report) | {"problem": problem.raw}, 1 if refuted else 0
 
 
 def _load_file(path):
@@ -322,10 +327,17 @@ def _load_file(path):
         raise SchemaError("", f"not valid JSON: {err}") from err
 
 
+def _print_json(document):
+    """Print ``document`` with one top-level key per line.  Each value is
+    encoded by ``json.dumps``'s C encoder, which ``indent`` would bypass."""
+    body = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in document.items())
+    print("{\n" + body + "\n}")
+
+
 def _emit(report, code, args, summary=None):
     """Print the report, and the summary line (by default ``_summary_line``)
     unless ``--quiet`` drops it, in which case it is never built."""
-    print(json.dumps(report, indent=2))
+    _print_json(report)
     if not getattr(args, "quiet", False):
         print(_summary_line(report) if summary is None else summary, file=sys.stderr)
     return code
@@ -407,7 +419,7 @@ def _dispatch(args):
                 for name, entry in DEMOS.items()
             ]
         }
-        print(json.dumps(listing, indent=2))
+        _print_json(listing)
         return 0
 
     if command == "demo":
@@ -489,7 +501,7 @@ def _run(args):
             "exit_status": "schema_error",
             "error": {"pointer": err.pointer, "message": err.reason},
         }
-        print(json.dumps(report, indent=2))
+        _print_json(report)
         if not getattr(args, "quiet", False):
             print(
                 f"gvikit: schema error at {err.pointer or '<root>'}: {err.reason}",
@@ -501,7 +513,7 @@ def _run(args):
             "exit_status": "failed",
             "error": {"type": type(err).__name__, "message": str(err)},
         }
-        print(json.dumps(report, indent=2))
+        _print_json(report)
         if not getattr(args, "quiet", False):
             print(f"gvikit: {err}", file=sys.stderr)
         return 1

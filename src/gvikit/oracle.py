@@ -11,8 +11,9 @@ a lower bound on every compact K, so it is already at most the minimum
 over any grid in K, and the command line never runs ``brute_gap``; the
 acceptance tests use it as an independent upper bound.
 ``brute_coincidence`` answers another question, the lattice point of
-least residual, and ``gvikit certify`` runs it on every coincidence or
-fixed-point solution.
+least residual, and ``gvikit certify`` runs it only on a coincidence or
+fixed-point solution that is not certified: a certified residual is
+evaluated at the solution, so no lattice point can refute it.
 """
 
 from __future__ import annotations

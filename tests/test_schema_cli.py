@@ -582,6 +582,7 @@ class TestOnePath:
         assert code == 1
         assert report["exit_status"] != "certified"
         assert report["error"]["type"] == "InversionFailed"
+        assert report["stop_reason"] == "inversion_failed"
         assert report["solution"] is None and report["reduction"] is None
         assert "Traceback" not in err
 
@@ -902,3 +903,59 @@ def test_cone_beyond_the_hull_budget_is_a_schema_error():
         parse_problem(data)
     assert exc.value.pointer == "/set"
     assert "too large" in exc.value.reason
+
+
+_PAIR_DEMOS = [name for name in demo_names() if get_demo(name)["problem"]["kind"] in ("coincidence", "fixed_point")]
+_ESCAPE = Path(__file__).resolve().parent / "fixtures" / "polytope-escaping-fixed-point-2.json"
+
+
+class TestReportCost:
+    """The report holds no work the answer does not need."""
+
+    def test_certified_pairs_run_no_grid(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "brute_coincidence", lambda *args: calls.append(args))
+        assert len(_PAIR_DEMOS) == 6
+        for name in _PAIR_DEMOS:
+            report, code = cli.run_problem(parse_problem(get_demo(name)["problem"]), certify=True)
+            assert (code, report["exit_status"]) == (0, "certified"), name
+            assert report["oracle"] == {
+                "skipped": "the coincidence residual is evaluated at the solution, so no grid can refute it"
+            }, name
+        assert calls == []
+
+    def test_an_escaping_fixed_point_keeps_its_grid(self, capsys):
+        # the unique fixed point of f sums to 1.3, off the simplex; the
+        # grid section is the one an exhaustive grid always gave this file
+        code, report, _ = _run(capsys, ["certify", str(_ESCAPE), "--quiet"])
+        assert code == 1
+        assert report["exit_status"] == "refuted_hypothesis"
+        assert report["oracle"] == {
+            "resolution": 0.05,
+            "point": [0.2, 0.8],
+            "residual": 0.11843780335936405,
+            "distance_to_solution": 0.03545836724918238,
+        }
+
+    @pytest.mark.parametrize("name", demo_names())
+    def test_certify_prints_the_run_report_one_key_a_line(self, capsys, tmp_path, name):
+        data = get_demo(name)["problem"]
+        code = main(["certify", _write(tmp_path, data), "--quiet"])
+        out = capsys.readouterr().out
+        printed = json.loads(out)  # raises on anything after the one document
+        report, want_code = cli.run_problem(parse_problem(json.loads(json.dumps(data))), certify=True)
+        assert code == want_code
+        keys = list(report)
+        lines = out.splitlines()
+        assert lines[0] == "{" and lines[-1] == "}" and len(lines) == len(keys) + 2
+        assert [line.split(":", 1)[0] for line in lines[1:-1]] == [f"  {json.dumps(k)}" for k in keys]
+        for doc in (printed, report):
+            doc.pop("timings")
+        assert printed == report
+
+    def test_the_input_is_echoed_unwalked(self):
+        data = json.loads(json.dumps(get_demo("linear-gvi")["problem"]))
+        problem = parse_problem(data)
+        assert problem.raw is data
+        assert cli.run_problem(problem, certify=True)[0]["problem"] is data
+        assert cli.run_check(problem)[0]["problem"] is data
