@@ -193,6 +193,11 @@ class ConvexSet:
         """
         raise UnsupportedVariant(f"{type(self).__name__} has no linear minimizer")
 
+    def coordinate_bounds(self):
+        """``(lower, upper, total)`` when the set is ``{lower <= x <= upper}``,
+        intersected with ``{sum(x) = total}`` unless total is None; else None."""
+        return None
+
     def to_dict(self):
         raise NotImplementedError
 
@@ -245,6 +250,9 @@ class Box(ConvexSet):
 
     def linear_min(self, g):
         return np.where(as_vector(g, self.dim, "g") < 0.0, self.upper, self.lower)
+
+    def coordinate_bounds(self):
+        return self.lower, self.upper, None
 
     def _distance_batch(self, pts):
         return np.linalg.norm(pts - np.clip(pts, self.lower, self.upper), axis=1)
@@ -361,6 +369,9 @@ class Simplex(ConvexSet):
 
     def linear_min(self, g):
         return np.eye(self.dim)[int(np.argmin(as_vector(g, self.dim, "g")))]
+
+    def coordinate_bounds(self):
+        return np.zeros(self.dim), np.full(self.dim, np.inf), 1.0
 
     def _distance_batch(self, pts):
         # the distances to the hyperplane sum(x) = 1 and to the orthant

@@ -81,11 +81,16 @@ class OperatorExpr:
         """``u |-> M^-1 (u - c)`` when the affine form's M passes ``stable_inverse``, else None."""
         return self._inverse
 
-    def is_isometry(self):
-        """Whether the map is affine with an orthogonal matrix, so it keeps distances."""
+    @cached_property
+    def _isometry(self):
         form = self.affine_form()
         gram = None if form is None else form[0].T @ form[0]
         return gram is not None and np.allclose(gram, np.eye(self.in_dim), 0.0, ISOMETRY_TOL)
+
+    def is_isometry(self):
+        """Whether the map is affine with an orthogonal matrix, so it keeps
+        distances; decided once per map, like ``inverse``."""
+        return self._isometry
 
     def enclosure(self, lo, hi):
         """``(l, u)`` with ``l <= self(x) <= u`` for every x in the box ``[lo, hi]``.

@@ -6,12 +6,10 @@ monotonicity to converge; the extragradient method adds a predictor
 evaluation and converges for merely monotone Lipschitz operators, which is
 what the reduced problems produced elsewhere in this package look like.
 
-For an affine F on a Box or a Simplex, projected iterations find the
-solution's face in finitely many steps (Calamai & More, Math. Program. 39,
-1987), and on that face the solution is one linear solve: the free block
-of F on a Box, and its KKT system with the multiplier of ``sum(x) = 1`` on
-a Simplex.  The loop tries it once per face that two successive iterates
-share, and at once on any smaller face where a rejected face point lands.
+For an affine ``F = M x + q`` on a Box or a Simplex the inequality is a
+mixed linear complementarity problem, which pivoting solves exactly in
+finitely many steps.  The pivot point must pass the same residual test;
+data on which no pivot ends at such a point falls back to the iterations.
 
 Failure to converge is an ordinary outcome here, reported through the
 ``converged`` flag and ``stop_reason`` rather than an exception.
@@ -19,13 +17,13 @@ Failure to converge is an ordinary outcome here, reported through the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
 from .errors import NonConvergence, UnsupportedVariant
-from .geometry import Box, Simplex, as_vector
+from .geometry import as_vector
 from .operators import OperatorExpr
 
 RESIDUAL_TOL = 1e-8
@@ -35,6 +33,9 @@ MAX_ITER = 200_000
 _NU = 0.9
 _LIPSCHITZ_PROBE_SEED = 20240915
 _LIPSCHITZ_PROBE_PAIRS = 64
+# blocks flip for _PATIENCE solves without progress, Lemke's method takes over
+# after _BLOCK_SOLVES; below _PIVOT_TOL (relative) an entry is zero, within _TIE_TOL ratios tie
+_PATIENCE, _BLOCK_SOLVES, _LEMKE_PIVOTS, _PIVOT_TOL, _TIE_TOL = 3, 20, 10, 1e-12, 1e-9
 
 
 @dataclass
@@ -43,7 +44,8 @@ class SolverParams:
 
     ``step=None`` selects the step automatically: ``0.9 / L`` when an
     exact Lipschitz bound is derivable from the operator expression,
-    otherwise backtracking from a sampled estimate.
+    otherwise backtracking from a sampled estimate.  ``max_iter`` caps the
+    projection iterations, not the pivots, which are finite on their own.
     """
 
     step: Optional[float] = None
@@ -75,7 +77,7 @@ class SolveReport:
     iterations: int
     converged: bool
     step_used: float
-    stop_reason: str  # "residual", "max_iter" or "face_solve" (affine F on a Box or Simplex)
+    stop_reason: str  # "residual", "max_iter" or "pivot" (iterations then counts pivots)
     gap_certificate: Optional[float] = None
     history: Optional[List[float]] = None
     iterates: Optional[List[np.ndarray]] = None
@@ -142,41 +144,82 @@ def _backtrack(F, C, x, fx, y, fy, step, params):
     return y, fy, residual, step
 
 
-def _face(C, x):
-    """The face of C that x lies on: the coordinates the projection put
-    exactly on a bound of a Box (1 lower, 2 upper) or at 0 on a Simplex."""
-    if isinstance(C, Box):
-        return (x == C.lower) + 2 * (x == C.upper)
-    return x == 0.0
+def _pivot(m, q, lower, upper, total, start):
+    """``(x, pivots)`` for the affine VI ``F = M x + q`` on the set with these
+    ``coordinate_bounds``, x None when no pivot ends at a solution.
+
+    Block principal pivoting (Judice & Pires, Comput. Oper. Res. 21, 1994)
+    from the face of ``start`` (side -1 lower, 1 upper, 0 free) solves the
+    free block, bordered by ``sum(x) = total`` with multiplier mu, and flips
+    free coordinates outside their bounds and bounded ones with a wrong-signed
+    ``w = M x + q + mu``; without progress, only the last (Murty's rule)."""
+    eps = _PIVOT_TOL * (1.0 + max(np.abs(q).max(), np.abs(m).max(), np.abs(lower).max()))
+    side = np.where(start <= lower, -1, np.where(start >= upper, 1, 0))
+    best, patience = q.size + 1, _PATIENCE
+    for solves in range(1, _BLOCK_SOLVES + 1):
+        free = np.flatnonzero(side == 0)
+        x = np.where(side > 0, upper, lower) * (side != 0)
+        lhs, rhs = m[free][:, free], -(m[free] @ x + q[free])
+        if total is not None:
+            lhs, rhs = np.pad(lhs, (0, 1), constant_values=1.0), np.append(rhs, total - x.sum())
+            lhs[-1, -1] = 0.0
+        try:
+            z = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:
+            break
+        x[free] = z[: free.size]
+        low, high, w = x < lower - eps, x > upper + eps, m @ x + q + z[free.size :].sum()
+        wrong = np.where(side == 0, low | high, (side * w > eps) & (lower < upper))
+        count = np.count_nonzero(wrong)
+        if count == 0:
+            return x, solves
+        best, patience = (count, _PATIENCE) if count < best else (best, patience - 1)
+        if patience < 0:
+            wrong[: np.flatnonzero(wrong)[-1]] = False
+        side = np.where(wrong, np.where(side == 0, np.where(low, -1, 1), 0), side)
+    x, pivots = _lemke(m, q, lower, upper, total)
+    return x, solves + pivots
 
 
-def _smaller_face(C, z, face):
-    """The face of z when it is a proper face of ``face``, else None: z holds
-    every bound of ``face`` and at least one more."""
-    new = _face(C, z)
-    return new if np.all((face == 0) | (new == face)) and np.any(new != face) else None
-
-
-def _face_point(form, C, x):
-    """The solution of an affine ``F = M x + q`` on the face of C that x lies on.
-
-    Coordinates on a bound stay there; the free ones solve
-    ``M_FF z_F = -(q_F + M_FW z_W)``, on a Simplex bordered by its equality
-    ``[M_FF 1; 1^T 0] [z_F; lam] = [-q_F; 1]``.  Least squares makes a
-    singular block give a point that the caller's residual test rejects.
-    """
-    m, q = form
-    free = (x > C.lower) & (x < C.upper) if isinstance(C, Box) else x > 0.0
-    z = x.copy()
-    if free.any():
-        k = int(free.sum())
-        lhs = m[np.ix_(free, free)]
-        rhs = -(q[free] + m[np.ix_(free, ~free)] @ x[~free])
-        if isinstance(C, Simplex):
-            lhs = np.block([[lhs, np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
-            rhs = np.append(rhs, 1.0)
-        z[free] = np.linalg.lstsq(lhs, rhs, rcond=None)[0][:k]
-    return C.project(z)
+def _lemke(m, q, lower, upper, total):
+    """Lemke's method (Management Sci. 11, 1965): ``(x, pivots)``, x None on a ray
+    or after ``_LEMKE_PIVOTS`` per row.  With ``s = x - lower`` and ``N x <= b``
+    for finite upper bounds and ``+-sum(x) <= +-total``, the KKT system is
+    ``LCP([[M, N^T], [-N, 0]], [q + M lower, b - N lower])``, positive semidefinite
+    for monotone M: covering vector 1 and a lexicographic ratio test solve it."""
+    n, bounded = q.size, upper < np.inf
+    rows, b = np.eye(n)[bounded], upper[bounded]
+    if total is not None:
+        rows, b = np.vstack([rows, np.ones((1, n)), -np.ones((1, n))]), np.append(b, [total, -total])
+    k = n + b.size
+    r = np.concatenate([q + m @ lower, b - rows @ lower])
+    if r.min() >= 0.0:
+        return lower.copy(), 0
+    # columns w (0..k-1), z (k..2k-1), z0 (2k) and r of w - Q z - z0 = r
+    big = np.block([[m, rows.T], [-rows, np.zeros((b.size, b.size))]])
+    t = np.hstack([np.eye(k), -big, -np.ones((k, 1)), r[:, None]])
+    basis, enter, row = np.arange(k), 2 * k, int(np.argmin(r))
+    for pivots in range(1, _LEMKE_PIVOTS * k + 1):
+        t[row] /= t[row, enter]
+        t -= np.outer(np.where(np.arange(k) == row, 0.0, t[:, enter]), t[row])
+        basis[row], leaving = enter, basis[row]
+        if leaving == 2 * k:
+            return lower + np.bincount(basis, t[:, -1], 2 * k + 1)[k : k + n], pivots
+        enter = leaving + k if leaving < k else leaving - k
+        col = t[:, enter]
+        ties = np.flatnonzero(col > _PIVOT_TOL * max(1.0, np.abs(col).max()))
+        if ties.size == 0:
+            return None, pivots
+        ratio = t[ties, -1] / col[ties]
+        ties = ties[ratio <= ratio.min() + _TIE_TOL * (1.0 + abs(ratio.min()))]
+        ties = ties[basis[ties] == 2 * k] if np.any(basis[ties] == 2 * k) else ties
+        for j in range(k):  # columns 0..k-1 hold the basis inverse
+            if ties.size == 1:
+                break
+            v = t[ties, j] / col[ties]
+            ties = ties[v == v.min()]
+        row = int(ties[0])
+    return None, _LEMKE_PIVOTS * k
 
 
 def _iterate(F, C, params, x0, record_history, record_iterates, extragradient):
@@ -186,19 +229,14 @@ def _iterate(F, C, params, x0, record_history, record_iterates, extragradient):
     on ``|x - y|`` or at the iteration cap.  The projection method moves
     to ``y``, backtracking before the stop test; extragradient backtracks
     after it and moves to the corrected point ``P_C(x - step * F(y))``.
-    For an affine F on a Box or a Simplex, an iterate on the same face as
-    the previous one (``_face``: the coordinates the projection put exactly
-    on a bound) takes that face's ``_face_point``, once per face, and stops
-    there with ``stop_reason = "face_solve"`` when it passes the residual
-    test.  A rejected face point that lies on a smaller face has found more
-    active bounds, so that face is solved at once, from the point.
+    For an affine F on a set with ``coordinate_bounds``, the first ``y``
+    starts ``_pivot``; a point that passes the residual test stops on "pivot".
     """
     params = params if params is not None else SolverParams()
     x = C.project(np.zeros(C.dim) if x0 is None else as_vector(x0, C.dim, "x0"))
     step, backtrack = _resolve_step(F, C, params)
-    faceted = isinstance(F, OperatorExpr) and isinstance(C, (Box, Simplex))
-    form = F.affine_form() if faceted else None
-    tried, last_face = set(), None
+    bounds = C.coordinate_bounds()
+    form = F.affine_form() if bounds is not None and isinstance(F, OperatorExpr) else None
     history = [] if record_history else None
     iterates = [x.copy()] if record_iterates else None
     iterations = 0
@@ -224,21 +262,13 @@ def _iterate(F, C, params, x0, record_history, record_iterates, extragradient):
                 iterates=iterates,
             )
         if form is not None:
-            face, z = _face(C, x), x
-            trial = face if np.array_equal(face, last_face) else None
-            while trial is not None and trial.tobytes() not in tried:
-                tried.add(trial.tobytes())
-                z = _face_point(form, C, z)
-                z_residual = natural_residual(F, C, z, step)
-                if z_residual <= params.residual_tol:
-                    if record_history:
-                        history.append(z_residual)
-                    return SolveReport(
-                        z, z_residual, iterations, True, step, "face_solve",
-                        history=history, iterates=iterates,
-                    )
-                trial = _smaller_face(C, z, trial)
-            last_face = face
+            z, pivots = _pivot(*form, *bounds, y)
+            z, form = (None if z is None else C.project(z)), None
+            z_residual = np.inf if z is None else natural_residual(F, C, z, step)
+            if z_residual <= params.residual_tol:
+                if record_history:
+                    history.append(z_residual)
+                return SolveReport(z, z_residual, pivots, True, step, "pivot", None, history, iterates)
         if extragradient:
             fy = np.asarray(F(y), dtype=float)
             if backtrack:

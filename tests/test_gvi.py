@@ -195,8 +195,10 @@ class TestSolveGvi:
         np.testing.assert_allclose(rep.solution, rep.reduced_solution, atol=1e-9)
 
     def test_iteration_budget_is_respected(self):
+        # A has no affine form, so the x-space solve iterates (an affine one
+        # would be solved by a pivot, which the cap does not bound)
         problem = GviProblem(
-            A=Affine(np.eye(1), np.array([-1.0])),
+            A=Sum(PointwiseNonlinear("cube", 1), Constant(np.array([-1.0]))),
             a=Affine(np.array([[2.0]]), np.zeros(1)),
             K=Box(np.zeros(1), 2.0 * np.ones(1)),
             image_aK=Box(np.zeros(1), 4.0 * np.ones(1)),

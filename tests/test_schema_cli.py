@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gvikit import cli, gvi, operators
+from gvikit import cli, gvi, operators, vi
 from gvikit.cli import main
 from gvikit.demos import DEMOS, demo_names, get_demo
 from gvikit.errors import SchemaError
@@ -194,8 +194,8 @@ class TestCli:
         code, report, err = _run(capsys, ["demo", "identity-reduction"])
         assert (code, report["exit_status"]) == (0, "certified")
         assert list(report)[list(report).index("iterations") + 1] == "stop_reason"
-        assert (report["iterations"], report["stop_reason"]) == (2, "face_solve")
-        assert "stop face_solve" in err
+        assert (report["iterations"], report["stop_reason"]) == (1, "pivot")
+        assert "stop pivot" in err
         code, report, err = _run(capsys, ["demo", "square-gvi"])
         assert (report["iterations"], report["stop_reason"]) == (84, "residual")
         assert "stop residual" in err
@@ -863,9 +863,9 @@ class TestOneBattery:
         f = operators.operator_from_dict(data["operators"]["f"])
         assert Simplex(3).distance(f(v)) == pytest.approx(entry["max_violation"])
         assert entry["max_violation"] > 1e-6
-        # x - f(x) is affine, so the solve stops on its face; extragradient
-        # alone took 177 iterations to a coincidence residual of 0.1615562708354134
-        assert report["stop_reason"] == "face_solve" and report["iterations"] <= 6
+        # x - f(x) is affine, so a pivot solves it; extragradient alone took
+        # 177 iterations to a coincidence residual of 0.1615562708354134
+        assert report["stop_reason"] == "pivot" and report["iterations"] <= 6
         assert report["residuals"]["coincidence"] == pytest.approx(0.1615562708354134, abs=1e-9)
 
     def test_simplex_vi_is_decided_on_its_directions(self, capsys, tmp_path):
@@ -924,6 +924,16 @@ class TestReportCost:
             }, name
         assert calls == []
 
+    @pytest.mark.parametrize("name", ["box-projection", "linear-gvi", "linear-coincidence"])
+    def test_is_isometry_is_decided_once_per_run(self, monkeypatch, name):
+        # its Gram matrix and allclose ran in the battery and again after the
+        # solve; the map keeps the first answer
+        calls = []
+        real = np.allclose
+        monkeypatch.setattr(np, "allclose", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        cli.run_problem(parse_problem(get_demo(name)["problem"]), certify=True)
+        assert len(calls) == 1
+
     def test_an_escaping_fixed_point_keeps_its_grid(self, capsys):
         # the unique fixed point of f sums to 1.3, off the simplex; the
         # grid section is the one an exhaustive grid always gave this file
@@ -934,7 +944,7 @@ class TestReportCost:
             "resolution": 0.05,
             "point": [0.2, 0.8],
             "residual": 0.11843780335936405,
-            "distance_to_solution": 0.03545836724918238,
+            "distance_to_solution": 0.03545836724918224,
         }
 
     @pytest.mark.parametrize("name", demo_names())
@@ -959,3 +969,34 @@ class TestReportCost:
         assert problem.raw is data
         assert cli.run_problem(problem, certify=True)[0]["problem"] is data
         assert cli.run_check(problem)[0]["problem"] is data
+
+
+def _box_vi_n300(shift_scale=1.0):
+    """The strongly monotone ``Q (I + R) Q^T x + q`` on [-1, 1]^300 of rng seed
+    26, R a block rotation generator and q uniform on [-1.5, 1.5] times
+    ``shift_scale``: 29 bounds are active at its solution, and 147 at twice
+    the shift."""
+    rng, n = np.random.default_rng(26), 300
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    m = np.eye(n)
+    for i in range(0, n - 1, 2):
+        m[i, i + 1], m[i + 1, i] = 1.0, -1.0
+    return {
+        "version": "1",
+        "kind": "vi",
+        "seed": 1,
+        "operators": {"A": {"op": "affine", "matrix": (q @ m @ q.T).tolist(),
+                            "shift": (shift_scale * rng.uniform(-1.5, 1.5, size=n)).tolist()}},
+        "set": {"type": "box", "lower": [-1.0] * n, "upper": [1.0] * n},
+    }
+
+
+@pytest.mark.parametrize("shift_scale, active", [(1.0, 29), (2.0, 147)])
+def test_a_box_vi_at_n_300_certifies_by_pivoting(monkeypatch, shift_scale, active):
+    lemke = []
+    real = vi._lemke
+    monkeypatch.setattr(vi, "_lemke", lambda *args: lemke.append(1) or real(*args))
+    report, code = cli.run_problem(parse_problem(_box_vi_n300(shift_scale)), certify=True)
+    assert (code, report["exit_status"], report["stop_reason"]) == (0, "certified", "pivot")
+    assert report["iterations"] <= 5 and lemke == []
+    assert int(np.sum(np.abs(report["solution"]) == 1.0)) == active

@@ -40,7 +40,7 @@ from gvikit.cli import main
 from gvikit.demos import DEMOS
 from gvikit.gvi import ImageConsistencyWarning, _linear_minimizer
 from gvikit.schema import parse_problem, validate
-from gvikit.vi import solve_extragradient
+from gvikit.vi import RESIDUAL_TOL, natural_residual, solve_extragradient
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -300,6 +300,46 @@ def test_a_cone_K_is_rejected():
             GviProblem(A=Identity(2), a=a, K=cone, image_aK=Box(np.zeros(2), np.ones(2)))
 
 
+@given(
+    dim=st.integers(1, 8),
+    kind=st.sampled_from(["definite", "singular", "skew", "zero"]),
+    simplex=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_a_pivot_solves_every_monotone_affine_vi_on_a_box_or_simplex(dim, kind, simplex, seed):
+    # positive definite, singular positive semidefinite, skew and zero M; a
+    # quarter of a Box's coordinates have equal bounds
+    rng = np.random.default_rng(seed)
+    g, h = rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim // 2))
+    m = {
+        "definite": 0.1 * np.eye(dim) + g @ g.T / dim + (g - g.T),
+        "singular": h @ h.T,
+        "skew": g - g.T,
+        "zero": np.zeros((dim, dim)),
+    }[kind]
+    q = 2.0 * rng.normal(size=dim)
+    if simplex:
+        K = Simplex(dim)
+    else:
+        lower = rng.uniform(-2.0, 0.0, size=dim)
+        upper = lower + rng.uniform(0.0, 2.0, size=dim) * (rng.random(dim) >= 0.25)
+        K = Box(lower, upper)
+    f = Affine(m, q)
+    rep = solve_extragradient(f, K)
+    x = rep.solution
+    assert rep.converged and rep.stop_reason in ("pivot", "residual")
+    assert natural_residual(f, K, x, rep.step_used) <= RESIDUAL_TOL
+    fx = m @ x + q
+    # the exact gap: a Box takes its upper bound where F < 0 and its lower
+    # one elsewhere, and a Simplex its vertex where F is least
+    if simplex:
+        gap = fx.min() - fx @ x
+    else:
+        gap = fx @ (np.where(fx < 0.0, K.upper, K.lower) - x)
+    assert gap >= -1e-9
+
+
 @given(dim=st.integers(2, 6), support=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 @settings(derandomize=True, max_examples=100, deadline=None)
 def test_a_face_solved_simplex_vi_is_exact(dim, support, seed):
@@ -319,8 +359,8 @@ def test_a_face_solved_simplex_vi_is_exact(dim, support, seed):
     q = rng.normal() + mu - m @ x_star
     rep = solve_extragradient(Affine(m, q), Simplex(dim))
     x = rep.solution
-    # the projection lands on a vertex exactly, where no face solve is needed
-    assert rep.stop_reason == "face_solve" or (k == 1 and np.array_equal(x, x_star))
+    # the projection lands on a vertex exactly, where no pivot is needed
+    assert rep.stop_reason == "pivot" or (k == 1 and np.array_equal(x, x_star))
     fx = m @ x + q
     # min over y in the simplex of <F(x), y - x> is taken at a vertex
     assert fx.min() - fx @ x >= -1e-9

@@ -1,18 +1,24 @@
 """Projection and extragradient solvers on monotone vector fields."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gvikit import vi
-from gvikit.geometry import Ball, Box, Simplex
+from gvikit.geometry import Ball, Box, Simplex, set_from_dict
 from gvikit.gvi import GviProblem, solve_gvi
-from gvikit.operators import Affine, Constant, PointwiseNonlinear, Rotation, Sum
+from gvikit.operators import Affine, Constant, PointwiseNonlinear, Rotation, Sum, operator_from_dict
 from gvikit.vi import (
     SolverParams,
     natural_residual,
     solve_extragradient,
     solve_projection,
 )
+
+
+_CYCLE = Path(__file__).resolve().parent / "fixtures" / "box-vi-block-flips-cycle.json"
 
 
 def _shifted_identity(target):
@@ -176,40 +182,41 @@ class TestZeroLipschitzBound:
         np.testing.assert_allclose(rep.solution, [-0.6, 0.8], atol=1e-12)
 
 
-def _spy_faces(monkeypatch):
-    """Record every point ``vi._face_point`` returns."""
-    points = []
-    real = vi._face_point
-
-    def spy(form, C, x):
-        points.append(real(form, C, x))
-        return points[-1]
-
-    monkeypatch.setattr(vi, "_face_point", spy)
-    return points
+def _spy_pivots(monkeypatch):
+    """Record, in order, the start point of every ``vi._pivot`` call and
+    ``"lemke"`` for every call of its fallback ``vi._lemke``."""
+    log = []
+    pivot, lemke = vi._pivot, vi._lemke
+    monkeypatch.setattr(vi, "_pivot", lambda *args: log.append(args[-1].copy()) or pivot(*args))
+    monkeypatch.setattr(vi, "_lemke", lambda *args: log.append("lemke") or lemke(*args))
+    return log
 
 
 class TestFaceSolve:
+    """The pivot solve of an affine F on a Box or a Simplex."""
+
     def test_a_solution_on_a_face_is_solved_exactly(self):
         # x0 = 1 at its upper bound with F_0 = -1.5 <= 0; F_1 = 2 x1 - 1 = 0
         box = Box(np.zeros(2), np.ones(2))
         f = Affine(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([-4.0, -2.0]))
         rep = solve_extragradient(f, box, record_history=True)
-        assert rep.stop_reason == "face_solve"
+        assert (rep.iterations, rep.stop_reason) == (1, "pivot")
         assert rep.converged
         np.testing.assert_allclose(rep.solution, [1.0, 0.5], rtol=0, atol=1e-12)
         assert rep.history[-1] == rep.residual <= 1e-15
 
     def test_a_bound_the_solution_leaves_is_not_accepted(self, monkeypatch):
-        # F = (x0 - x1 + 0.6, x1 - 0.9) solves at (0.3, 0.9), but the early
-        # iterates hold x0 = 0, whose face point (0, 0.9) is no solution
-        points = _spy_faces(monkeypatch)
+        # F = (x0 - x1 + 0.6, x1 - 0.9) solves at (0.3, 0.9), but the first
+        # projected step holds x0 = 0, whose block point (0, 0.9) has
+        # F_0 = -0.3 < 0 on a lower bound: x0 is freed by a second solve
+        log = _spy_pivots(monkeypatch)
         box = Box(np.zeros(2), np.ones(2))
         f = Affine(np.array([[1.0, -1.0], [0.0, 1.0]]), np.array([0.6, -0.9]))
         rep = solve_extragradient(f, box)
-        np.testing.assert_allclose(points[0], [0.0, 0.9], atol=1e-15)
-        assert natural_residual(f, box, points[0], rep.step_used) > 0.1
-        assert rep.stop_reason == "face_solve"
+        (start,) = log
+        assert start[0] == 0.0 < start[1] < 1.0
+        assert natural_residual(f, box, [0.0, 0.9], rep.step_used) > 0.1
+        assert (rep.iterations, rep.stop_reason) == (2, "pivot")
         np.testing.assert_allclose(rep.solution, [0.3, 0.9], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -226,52 +233,54 @@ class TestFaceSolve:
         ],
         ids=["rank-one", "zero", "simplex-rank-one", "simplex-zero"],
     )
-    def test_a_singular_free_block_falls_back_to_iterating(
-        self, monkeypatch, K, matrix, shift, want
-    ):
-        points = _spy_faces(monkeypatch)
+    def test_a_singular_free_block_falls_back_to_lemke(self, monkeypatch, K, matrix, shift, want):
+        log = _spy_pivots(monkeypatch)
         f = Affine(np.array(matrix), np.array(shift))
         rep = solve_extragradient(f, K)
-        assert points, "the face step never ran"
-        assert all(natural_residual(f, K, z, rep.step_used) > 1e-8 for z in points)
-        assert rep.stop_reason == "residual"
-        np.testing.assert_allclose(rep.solution, want, atol=1e-7)
+        assert log[1:] == ["lemke"]
+        assert (rep.stop_reason, rep.converged) == ("pivot", True)
+        assert rep.residual <= 1e-12
+        np.testing.assert_allclose(rep.solution, want, rtol=0, atol=1e-12)
 
     def test_a_face_is_solved_at_most_once(self, monkeypatch):
-        points = _spy_faces(monkeypatch)
+        # the start face is interior and its block (M = 0) singular: it is
+        # solved once, and Lemke's method, with no pivot since x = lower
+        # solves it, ends the solve
+        log = _spy_pivots(monkeypatch)
         box = Box(np.full(2, -10.0), np.full(2, 10.0))
-        solve_extragradient(Affine(np.zeros((2, 2)), np.array([1.0, 0.5])), box)
-        # the interior face and the face x0 = -10, each tried once
-        assert len(points) == 2
+        rep = solve_extragradient(Affine(np.zeros((2, 2)), np.array([1.0, 0.5])), box)
+        assert log[1:] == ["lemke"] and np.all(np.abs(log[0]) < 10.0)
+        assert (rep.iterations, rep.stop_reason) == (1, "pivot")
 
     def test_a_rejected_point_on_a_smaller_face_is_solved_at_once(self, monkeypatch):
-        # the interior solve (1.5, 0.2) clips to (1, 0.2) on the face x0 = 1,
-        # whose own solve (1, 0.45) is the solution; it is taken in the same
-        # iteration, not once two iterates reach that face
-        points = _spy_faces(monkeypatch)
+        # the interior block point (1.5, 0.2) breaks x0 <= 1, so x0 moves to
+        # that bound and the next solve, (1, 0.45), is the solution
+        log = _spy_pivots(monkeypatch)
         m = np.array([[2.0, 1.0], [1.0, 2.0]])
         f, box = Affine(m, -m @ np.array([1.5, 0.2])), Box(np.zeros(2), np.ones(2))
-        rep = solve_extragradient(f, box, x0=np.array([0.5, 0.5]))
-        assert (rep.iterations, rep.stop_reason) == (1, "face_solve")
-        np.testing.assert_allclose(points, [[1.0, 0.2], [1.0, 0.45]], rtol=0, atol=1e-12)
+        rep = solve_extragradient(f, box, x0=np.array([0.2, 0.5]))
+        (start,) = log
+        assert np.all((0.0 < start) & (start < 1.0))
+        assert (rep.iterations, rep.stop_reason) == (2, "pivot")
         np.testing.assert_allclose(rep.solution, [1.0, 0.45], rtol=0, atol=1e-12)
 
     def test_a_simplex_face_is_solved_at_most_once(self, monkeypatch):
-        points = _spy_faces(monkeypatch)
+        log = _spy_pivots(monkeypatch)
         rep = solve_extragradient(
             Affine(np.zeros((3, 3)), np.array([1.0, 0.5, 0.2])), Simplex(3), record_iterates=True
         )
-        # three successive iterates hold x0 = 0, and that face is tried once
-        faces = [tuple(x == 0.0) for x in rep.iterates]
-        assert faces[1:4] == [(True, False, False)] * 3
-        assert len(points) == 1
+        # the first projected step holds x0 = 0; that face is solved once,
+        # its bordered block is singular, and no projection iteration runs
+        assert log[1:] == ["lemke"] and log[0][0] == 0.0 < log[0][1:].min()
+        assert (rep.stop_reason, len(rep.iterates)) == ("pivot", 1)
+        np.testing.assert_allclose(rep.solution, [0.0, 0.0, 1.0], rtol=0, atol=1e-12)
 
     def test_an_interior_simplex_solution_is_solved_exactly(self):
-        # without the face solve, extragradient took 44 iterations here
+        # without a linear solve, extragradient took 44 iterations here
         m = np.array([[2.0, 1.0, 0.0], [-1.0, 2.0, 0.5], [0.0, -0.5, 1.0]])
         q = np.array([-1.0, 0.2, 0.1])
         rep = solve_extragradient(Affine(m, q), Simplex(3), record_history=True)
-        assert (rep.iterations, rep.stop_reason, rep.converged) == (1, "face_solve", True)
+        assert (rep.iterations, rep.stop_reason, rep.converged) == (1, "pivot", True)
         kkt = np.block([[m, np.ones((3, 1))], [np.ones((1, 3)), np.zeros((1, 1))]])
         want = np.linalg.solve(kkt, np.append(-q, 1.0))[:3]
         assert np.all(want > 0)
@@ -281,31 +290,89 @@ class TestFaceSolve:
     def test_a_simplex_solution_with_zero_coordinates_is_solved_exactly(self):
         # F = x - (0.8, 0.5, -0.3) solves at the projection (0.65, 0.35, 0)
         rep = solve_extragradient(_shifted_identity([0.8, 0.5, -0.3]), Simplex(3))
-        assert (rep.stop_reason, rep.converged) == ("face_solve", True)
+        assert (rep.stop_reason, rep.converged) == ("pivot", True)
         np.testing.assert_allclose(rep.solution, [0.65, 0.35, 0.0], rtol=0, atol=1e-12)
         assert rep.residual <= 1e-15
 
     def test_a_simplex_face_the_solution_leaves_is_not_accepted(self, monkeypatch):
-        # from the vertex (0, 0, 1) the early iterates hold x0 = 0, whose face point
-        # (0, 5/13, 8/13) is no solution; the solution is interior
-        points = _spy_faces(monkeypatch)
+        # from the vertex (0, 1, 0) the first projected step holds x0 = 0, whose
+        # block point (0, 5/13, 8/13) has F_0 + mu < 0; the solution is interior
+        log = _spy_pivots(monkeypatch)
         m = np.array([[1.8, 0.0, -0.1], [-0.5, 0.9, 0.3], [-0.5, -0.7, 1.3]])
         q = np.array([1.5, 1.1, 1.1])
         f, simplex = Affine(m, q), Simplex(3)
-        rep = solve_extragradient(f, simplex, x0=np.array([0.0, 0.0, 1.0]))
-        np.testing.assert_allclose(points[0], [0.0, 5.0 / 13.0, 8.0 / 13.0], atol=1e-15)
-        assert natural_residual(f, simplex, points[0], rep.step_used) > 0.05
-        assert rep.stop_reason == "face_solve"
+        rep = solve_extragradient(f, simplex, x0=np.array([0.0, 1.0, 0.0]))
+        (start,) = log
+        assert start[0] == 0.0 < start[1:].min()
+        face_point = [0.0, 5.0 / 13.0, 8.0 / 13.0]
+        assert natural_residual(f, simplex, face_point, rep.step_used) > 0.05
+        assert (rep.iterations, rep.stop_reason) == (2, "pivot")
         kkt = np.block([[m, np.ones((3, 1))], [np.ones((1, 3)), np.zeros((1, 1))]])
         want = np.linalg.solve(kkt, np.append(-q, 1.0))[:3]
         np.testing.assert_allclose(rep.solution, want, rtol=0, atol=1e-12)
         assert np.all(rep.solution > 0.05)
 
-    def test_the_iteration_cap_comes_first(self):
+    def test_the_iteration_cap_comes_first(self, monkeypatch):
+        # an F with no affine form iterates, and the cap stops it
+        log = _spy_pivots(monkeypatch)
+        box = Box(np.zeros(2), np.ones(2))
+        f = Sum(PointwiseNonlinear("cube", 2), Constant(np.array([-0.5, -0.25])))
+        rep = solve_extragradient(f, box, SolverParams(max_iter=1))
+        assert (rep.iterations, rep.stop_reason, rep.converged) == (1, "max_iter", False)
+        assert log == []
+
+    def test_the_cap_bounds_the_iterations_not_the_pivot(self):
+        # the pivot solve is finite on its own, so a cap of 1 leaves it whole
         box = Box(np.zeros(2), np.ones(2))
         f = Affine(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([-4.0, -2.0]))
         rep = solve_extragradient(f, box, SolverParams(max_iter=1))
-        assert (rep.iterations, rep.stop_reason, rep.converged) == (1, "max_iter", False)
+        assert (rep.iterations, rep.stop_reason, rep.converged) == (1, "pivot", True)
+
+    def test_a_solved_start_stops_before_the_pivot(self, monkeypatch):
+        log = _spy_pivots(monkeypatch)
+        box = Box(np.zeros(2), np.ones(2))
+        f = Affine(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([-4.0, -2.0]))
+        rep = solve_extragradient(f, box, x0=np.array([1.0, 0.5]))
+        assert (rep.iterations, rep.stop_reason, log) == (0, "residual", [])
+
+    def test_data_that_no_pivot_solves_falls_back_to_iterating(self, monkeypatch):
+        # M is not monotone (its symmetric part has eigenvalue -3.56): block
+        # pivoting finds no solution and Lemke's method ends on a ray, so the
+        # extragradient loop solves it
+        log = _spy_pivots(monkeypatch)
+        f = Affine(np.array([[-1.0, 2.0], [0.0, -0.5]]), np.array([-0.5, -0.5]))
+        box = Box(-np.ones(2), np.ones(2))
+        rep = solve_extragradient(f, box, x0=np.array([0.5, 0.5]))
+        assert log[1:] == ["lemke"]
+        assert (rep.iterations, rep.stop_reason) == (3, "residual")
+        np.testing.assert_allclose(rep.solution, [-1.0, 1.0], rtol=0, atol=1e-12)
+
+    def test_block_flips_that_cycle_end_through_the_fallback(self, monkeypatch):
+        # M is skew.  Flipping every violated index at once, from the face of
+        # the first projected step, returns to a face it has solved before
+        data = json.loads(_CYCLE.read_text(encoding="utf-8"))
+        f, box = operator_from_dict(data["operators"]["A"]), set_from_dict(data["set"])
+        m, q = f.affine_form()
+        step = 0.9 / f.lipschitz_bound()
+        y = box.project(-step * q)
+        side, seen = np.where(y <= -1.0, -1, np.where(y >= 1.0, 1, 0)), []
+        while side.tolist() not in seen:
+            seen.append(side.tolist())
+            free = side == 0
+            x = np.where(free, 0.0, side.astype(float))
+            x[free] = np.linalg.solve(m[free][:, free], -(m[free] @ x + q[free]))
+            w = m @ x + q
+            wrong = np.where(free, np.abs(x) > 1.0, side * w > 0.0)
+            assert wrong.any(), "block flips alone reached a solution"
+            side = np.where(wrong, np.where(free, np.sign(x), 0), side).astype(int)
+        assert len(seen) >= 2
+        # the safeguarded pivot ends through Lemke's method at the solution
+        log = _spy_pivots(monkeypatch)
+        rep = solve_extragradient(f, box)
+        assert log[1:] == ["lemke"]
+        assert (rep.stop_reason, rep.converged) == ("pivot", True)
+        assert natural_residual(f, box, rep.solution, rep.step_used) <= 1e-12
+        np.testing.assert_allclose(rep.solution, [-0.4, -0.8, -1.0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "solve, iterations",
@@ -326,9 +393,9 @@ class TestFaceSolve:
     def test_other_sets_and_the_image_path_keep_their_iterations(
         self, monkeypatch, solve, iterations
     ):
-        points = _spy_faces(monkeypatch)
+        log = _spy_pivots(monkeypatch)
         rep = solve()
-        assert points == []
+        assert log == []
         assert (rep.iterations, rep.stop_reason) == (iterations, "residual")
 
 
